@@ -153,7 +153,7 @@ fn main() {
     jucq_obs::metrics::gauge_set("bench.par_speedup.speedup", speedup);
 
     // Requesting workers must never cost wall time. On a single-core
-    // host `eval_unions` runs the sequential path outright, so the
+    // host `eval_union` runs the sequential path outright, so the
     // worker pool's fan-out overhead cannot produce the sub-1.0
     // "speedups" the seed measured (0.88x at 4 workers on 1 core); on
     // multi-core hosts the parallel leg should win outright.

@@ -1,10 +1,10 @@
-//! Vectorized-execution speedup: row-at-a-time vs batched kernels, and
-//! the extra win from sideways-information-passing (SIP) Bloom filters,
-//! on the LUBM and DBLP reformulation workloads.
+//! Batched-execution speedup: one-row vs 1024-row batches, and the
+//! extra win from sideways-information-passing (SIP) Bloom filters, on
+//! the LUBM and DBLP reformulation workloads.
 //!
 //! Three modes share one prepared database per workload:
-//!   row        batch size 0, SIP off — the Volcano baseline
-//!   batch      1024-row batches, SIP off — vectorization alone
+//!   batch1     1-row batches, SIP off — the per-tuple-poll baseline
+//!   batch      1024-row batches, SIP off — batching alone
 //!   batch+sip  1024-row batches, SIP on — the default engine
 //! Every query's answer is asserted identical across the three modes,
 //! wall times and the SIP probe/drop totals are recorded, and the
@@ -31,8 +31,8 @@ struct Mode {
 fn modes() -> [Mode; 3] {
     [
         Mode {
-            label: "row",
-            profile: EngineProfile::pg_like().with_batch_size(0).with_sip_filters(false),
+            label: "batch1",
+            profile: EngineProfile::pg_like().with_batch_size(1).with_sip_filters(false),
         },
         Mode {
             label: "batch",
@@ -110,7 +110,7 @@ fn run_workload(
             if mi > 0 {
                 // Differential check: every mode answers identically.
                 if let (Some(a), Some(b)) = (&cells[qi][0].rows, &cell.rows) {
-                    assert_eq!(a, b, "{workload}/{}: answers diverge from row mode", mode.label);
+                    assert_eq!(a, b, "{workload}/{}: answers diverge from batch1 mode", mode.label);
                 }
             }
             cells[qi].push(cell);
@@ -172,10 +172,10 @@ fn main() {
         println!(
             "{}",
             render_table(
-                &format!("Vectorized speedup — {} (batch {BATCH})", r.workload),
+                &format!("Batched speedup — {} (batch {BATCH})", r.workload),
                 &[
                     "q".into(),
-                    "row (ms)".into(),
+                    "batch1 (ms)".into(),
                     "batch (ms)".into(),
                     "batch+sip (ms)".into(),
                     "sip drops".into(),
@@ -184,7 +184,7 @@ fn main() {
             )
         );
         println!(
-            "{}: row {:.1} ms, batch {:.1} ms ({:.2}x), batch+sip {:.1} ms ({:.2}x), \
+            "{}: batch1 {:.1} ms, batch {:.1} ms ({:.2}x), batch+sip {:.1} ms ({:.2}x), \
              sip dropped {}/{} probed tuples",
             r.workload,
             r.totals[0].as_secs_f64() * 1e3,
@@ -213,7 +213,7 @@ fn main() {
     json.push_str("  \"workloads\": [\n");
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"row_total_ms\": {:.3}, \"batch_total_ms\": {:.3}, \
+            "    {{\"workload\": \"{}\", \"batch1_total_ms\": {:.3}, \"batch_total_ms\": {:.3}, \
              \"batch_sip_total_ms\": {:.3}, \"batch_speedup\": {:.4}, \
              \"batch_sip_speedup\": {:.4}, \"sip_probes\": {}, \"sip_drops\": {}}}{}\n",
             r.workload,

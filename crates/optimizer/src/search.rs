@@ -318,7 +318,7 @@ impl<'a> CoverSearch<'a> {
     pub fn cover_costs(&self, covers: &[Cover]) -> Vec<f64> {
         // On single-core hardware scoring workers are pure overhead —
         // take the sequential path outright, mirroring the executor's
-        // `eval_unions` gate.
+        // `eval_union` gate.
         let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let workers = if hw <= 1 { 1 } else { self.parallelism.min(covers.len()) };
         if workers <= 1 {

@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! jucq query <data.ttl> "<SPARQL>" [--strategy S] [--profile P] [--compare]
-//!            [--threads N] [--batch-size N] [--explain-analyze] [--trace]
+//!            [--threads N] [--explain-analyze] [--trace]
 //!            [--metrics-json PATH] [--query-log PATH] [--slow-ms N]
 //!            [--trace-out PATH]
 //! jucq explain <data.ttl> "<SPARQL>" [--analyze] [--strategy S] [--profile P]
-//!              [--threads N] [--batch-size N]  # physical plan (est vs actual with --analyze)
+//!              [--threads N]  # physical plan (est vs actual with --analyze)
 //! jucq covers <data.ttl> "<SPARQL>"           # every cover, sized & timed
 //! jucq stats <data.ttl>                       # dataset & schema statistics
 //! jucq repl  <data.ttl>                       # interactive session
@@ -29,9 +29,6 @@
 //! Threads: `--threads N` (or the `JUCQ_THREADS` environment variable)
 //! sizes the worker pool for union/fragment evaluation and cover
 //! scoring; the default is the machine's available parallelism.
-//! Batching: `--batch-size N` (or the `JUCQ_BATCH` environment
-//! variable) sets the vectorized executor's rows-per-batch target; `0`
-//! disables vectorization and runs the row-at-a-time kernels.
 //!
 //! Observability: `--explain-analyze` renders per-node estimated vs.
 //! actual rows with Q-errors instead of the result rows; `--trace`
@@ -64,7 +61,7 @@ use jucq_core::{AnswerError, EncodingMode, RdfDatabase, Strategy};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  jucq query    <data.ttl|.snap> \"<SPARQL>\" [--strategy sat|ucq|scq|range|ecov|gcov] [--profile pg|db2|mysql|native] [--encoding plain|hierarchical] [--threads N] [--batch-size N] [--compare] [--explain-analyze] [--trace] [--metrics-json PATH] [--query-log PATH] [--slow-ms N] [--trace-out PATH]\n  jucq explain  <data.ttl|.snap> \"<SPARQL>\" [--analyze] [--strategy ...] [--profile ...] [--encoding ...] [--threads N] [--batch-size N]\n  jucq covers   <data.ttl|.snap> \"<SPARQL>\"\n  jucq stats    <data.ttl|.snap>\n  jucq repl     <data.ttl|.snap> [--profile ...] [--encoding ...] [--threads N] [--batch-size N]\n  jucq replay   <data.ttl|.snap> <log.jsonl> [--profile ...] [--encoding ...] [--threads N] [--batch-size N] [--report PATH]\n  jucq snapshot <data.ttl> <out.snap>\n  jucq advise   <log.jsonl> [--budget-tuples N]\n  jucq fuzz     [--seed S] [--cases N] [--profile pg|db2|mysql|native|all] [--quiet]\n  jucq serve    <data.ttl|.snap> [--port N] [--threads N] [--deadline-ms N] [--queue-depth N] [--strategy ...] [--profile ...] [--encoding ...] [--plan-cache N] [--query-log PATH] [--slow-ms N] [--view-budget-tuples N] [--auto-views LOG]"
+        "usage:\n  jucq query    <data.ttl|.snap> \"<SPARQL>\" [--strategy sat|ucq|scq|range|ecov|gcov] [--profile pg|db2|mysql|native] [--encoding plain|hierarchical] [--threads N] [--compare] [--explain-analyze] [--trace] [--metrics-json PATH] [--query-log PATH] [--slow-ms N] [--trace-out PATH]\n  jucq explain  <data.ttl|.snap> \"<SPARQL>\" [--analyze] [--strategy ...] [--profile ...] [--encoding ...] [--threads N]\n  jucq covers   <data.ttl|.snap> \"<SPARQL>\"\n  jucq stats    <data.ttl|.snap>\n  jucq repl     <data.ttl|.snap> [--profile ...] [--encoding ...] [--threads N]\n  jucq replay   <data.ttl|.snap> <log.jsonl> [--profile ...] [--encoding ...] [--threads N] [--report PATH]\n  jucq snapshot <data.ttl> <out.snap>\n  jucq advise   <log.jsonl> [--budget-tuples N]\n  jucq fuzz     [--seed S] [--cases N] [--profile pg|db2|mysql|native|all] [--quiet]\n  jucq serve    <data.ttl|.snap> [--port N] [--threads N] [--deadline-ms N] [--queue-depth N] [--strategy ...] [--profile ...] [--encoding ...] [--plan-cache N] [--query-log PATH] [--slow-ms N] [--view-budget-tuples N] [--auto-views LOG]"
     );
     std::process::exit(2)
 }
@@ -194,7 +191,6 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut profile = EngineProfile::pg_like();
     let mut encoding = EncodingMode::Plain;
     let mut threads: Option<usize> = None;
-    let mut batch_size: Option<usize> = None;
     let mut compare = false;
     let mut explain_analyze = false;
     let mut trace = false;
@@ -225,11 +221,6 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
                 let v = args.first().cloned().unwrap_or_default();
                 args.drain(..1.min(args.len()));
                 threads = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--batch-size" => {
-                let v = args.first().cloned().unwrap_or_default();
-                args.drain(..1.min(args.len()));
-                batch_size = Some(v.parse().unwrap_or_else(|_| usage()));
             }
             "--compare" => compare = true,
             "--explain-analyze" => explain_analyze = true,
@@ -271,9 +262,6 @@ fn cmd_query(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     };
     if let Some(n) = threads {
         profile = profile.with_parallelism(n);
-    }
-    if let Some(n) = batch_size {
-        profile = profile.with_batch_size(n);
     }
     let observing = trace || metrics_json.is_some() || trace_out.is_some();
     if observing {
@@ -332,7 +320,6 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut profile = EngineProfile::pg_like();
     let mut encoding = EncodingMode::Plain;
     let mut threads: Option<usize> = None;
-    let mut batch_size: Option<usize> = None;
     let mut report_path: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
     while !args.is_empty() {
@@ -353,11 +340,6 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
                 args.drain(..1.min(args.len()));
                 threads = Some(v.parse().unwrap_or_else(|_| usage()));
             }
-            "--batch-size" => {
-                let v = args.first().cloned().unwrap_or_default();
-                args.drain(..1.min(args.len()));
-                batch_size = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
             "--report" => {
                 let v = args.first().cloned().unwrap_or_default();
                 args.drain(..1.min(args.len()));
@@ -374,9 +356,6 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     };
     if let Some(n) = threads {
         profile = profile.with_parallelism(n);
-    }
-    if let Some(n) = batch_size {
-        profile = profile.with_batch_size(n);
     }
     let text = std::fs::read_to_string(log)?;
     let (records, errors) = jucq_obs::record::parse_log(&text);
@@ -523,7 +502,6 @@ fn cmd_explain(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> 
     let mut profile = EngineProfile::pg_like();
     let mut encoding = EncodingMode::Plain;
     let mut threads: Option<usize> = None;
-    let mut batch_size: Option<usize> = None;
     let mut analyze = false;
     let mut positional: Vec<String> = Vec::new();
     while !args.is_empty() {
@@ -549,11 +527,6 @@ fn cmd_explain(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> 
                 args.drain(..1.min(args.len()));
                 threads = Some(v.parse().unwrap_or_else(|_| usage()));
             }
-            "--batch-size" => {
-                let v = args.first().cloned().unwrap_or_default();
-                args.drain(..1.min(args.len()));
-                batch_size = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
             "--analyze" => analyze = true,
             _ => positional.push(a),
         }
@@ -563,9 +536,6 @@ fn cmd_explain(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> 
     };
     if let Some(n) = threads {
         profile = profile.with_parallelism(n);
-    }
-    if let Some(n) = batch_size {
-        profile = profile.with_batch_size(n);
     }
     let mut db = load(path, profile, encoding)?;
     let q = db.parse_query(sparql)?;
@@ -643,7 +613,6 @@ fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut profile = EngineProfile::pg_like();
     let mut encoding = EncodingMode::Plain;
     let mut threads: Option<usize> = None;
-    let mut batch_size: Option<usize> = None;
     let mut positional = Vec::new();
     while !args.is_empty() {
         let a = args.remove(0);
@@ -659,10 +628,6 @@ fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             let v = args.first().cloned().unwrap_or_default();
             args.drain(..1.min(args.len()));
             threads = Some(v.parse().unwrap_or_else(|_| usage()));
-        } else if a == "--batch-size" {
-            let v = args.first().cloned().unwrap_or_default();
-            args.drain(..1.min(args.len()));
-            batch_size = Some(v.parse().unwrap_or_else(|_| usage()));
         } else {
             positional.push(a);
         }
@@ -670,9 +635,6 @@ fn cmd_repl(mut args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let [path] = positional.as_slice() else { usage() };
     if let Some(n) = threads {
         profile = profile.with_parallelism(n);
-    }
-    if let Some(n) = batch_size {
-        profile = profile.with_batch_size(n);
     }
     let mut db = load(path, profile, encoding)?;
     db.enable_plan_cache(64);

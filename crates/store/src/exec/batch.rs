@@ -1,38 +1,33 @@
-//! Batched (vectorized) operator kernels and the sideways-information-
-//! passing (SIP) Bloom filter.
+//! The operator kernels and the sideways-information-passing (SIP)
+//! Bloom filter.
 //!
-//! The row-at-a-time kernels in [`cq`](crate::exec::cq),
-//! [`join`](crate::exec::join) and [`union`](crate::exec::union) pay a
-//! per-tuple price three times over: a liveness tick per produced
-//! tuple, a variable-position search per gathered column, and a key
-//! allocation per hashed or compared row. The kernels here process
-//! `EngineProfile::batch_rows` tuples per step instead: column
-//! positions and probe-key templates are resolved once per operator,
-//! rows are gathered into a flat batch buffer flushed in one bulk
-//! append, hash-join keys are u64 hashes (verified on probe) instead of
-//! per-row `Vec` keys, sort-merge keys are materialized once per side,
-//! and the liveness poll ([`ExecContext::tick_n`]) and memory check run
-//! once per batch.
+//! Every kernel processes `EngineProfile::batch_rows` tuples per step:
+//! column positions and probe-key templates are resolved once per
+//! operator, rows are gathered into a flat batch buffer flushed in one
+//! bulk append, hash-join keys are u64 hashes (verified on probe)
+//! instead of per-row `Vec` keys, sort-merge keys are materialized once
+//! per side, and the liveness poll ([`ExecContext::tick_n`]) and memory
+//! check run once per batch.
 //!
-//! **Contract**: for the same plan, every batched kernel produces the
-//! exact row sequence *and* the exact [`Counters`](crate::exec::Counters)
-//! of its row-at-a-time twin — only the poll cadence (still at least
-//! once per 16384 tuples) and constant factors differ. The differential
-//! matrix test in `tests/vectorized_differential.rs` locks this.
+//! **Contract**: the batch size is invisible to everything but the
+//! poll cadence (still at least once per 16384 tuples) — for the same
+//! plan, every batch size produces the exact same row sequence and the
+//! same [`Counters`](crate::exec::Counters). The differential matrix in
+//! `tests/vectorized_differential.rs` locks this against one-row
+//! batches and a naive reference evaluator.
 //!
-//! [`SipFilter`] rides on top of batches: when the staged plan driver
-//! (see `plan/exec.rs`) finishes the accumulated left side of a
-//! fragment join step, it publishes a Bloom filter over the join-key
-//! columns; the next fragment's union members probe it batch-at-a-time
+//! [`SipFilter`] rides on top of batches: when the plan driver (see
+//! `plan/exec.rs`) finishes the accumulated left side of a fragment
+//! join step, it publishes a Bloom filter over the join-key columns;
+//! the next fragment's union members probe it batch-at-a-time
 //! ([`apply_sip_filter`]) and drop tuples that cannot join before they
 //! are merged or joined. False positives only let a non-joining tuple
 //! through to the join (which discards it), so answers are unchanged;
 //! drops are counted per filter for `explain_analyze`.
 
-use jucq_model::{FxHashMap, TermId};
+use jucq_model::{FxHashMap, TermId, TripleId};
 
 use crate::error::EngineError;
-use crate::exec::cq::repeated_vars_consistent;
 use crate::exec::union::DedupAccumulator;
 use crate::exec::{join, ExecContext};
 use crate::ir::{PatternTerm, StorePattern, VarId};
@@ -55,6 +50,24 @@ fn hash_cols(row: &[TermId], cols: &[usize]) -> u64 {
 #[inline]
 fn keys_equal(a: &[TermId], a_cols: &[usize], b: &[TermId], b_cols: &[usize]) -> bool {
     a_cols.iter().zip(b_cols).all(|(&ac, &bc)| a[ac] == b[bc])
+}
+
+/// A triple matches a pattern's variable structure iff repeated
+/// variables bind equal values.
+#[inline]
+fn repeated_vars_consistent(p: &StorePattern, t: &TripleId) -> bool {
+    let pos = p.positions();
+    let val = [t.s, t.p, t.o];
+    for i in 0..3 {
+        for j in (i + 1)..3 {
+            if let (PatternTerm::Var(a), PatternTerm::Var(b)) = (pos[i], pos[j]) {
+                if a == b && val[i] != val[j] {
+                    return false;
+                }
+            }
+        }
+    }
+    true
 }
 
 /// A Bloom filter over join-key tuples, published by a completed
@@ -144,61 +157,37 @@ pub(crate) fn apply_sip_filter(
     Ok(())
 }
 
-/// Batched scan: same rows and `tuples_scanned` as
-/// [`cq::scan_pattern`](crate::exec::cq::scan_pattern), with the
-/// variable-position map resolved once, rows gathered into a flat batch
-/// buffer, and ticks/memory checks amortized per batch.
-pub(crate) fn scan_pattern_batched(
+/// The triple position a collapsed interval ranges over.
+fn ranged_index(ranged: RangePos) -> usize {
+    match ranged {
+        RangePos::Predicate => 1,
+        RangePos::Object => 2,
+    }
+}
+
+/// Scan one pattern into a relation over its distinct variables,
+/// through `perm` (the order-aware planner's choice, so the output
+/// order can feed a sort-elided merge join) or the default permutation
+/// index for the bound positions. Any perm yields the same row *set*;
+/// only the emission order differs.
+pub(crate) fn scan_pattern(
     table: &TripleTable,
     p: &StorePattern,
     perm: Option<Perm>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    let vars = p.variables();
-    let positions = p.positions();
-    let var_pos: Vec<usize> = vars
-        .iter()
-        .map(|&v| {
-            positions.iter().position(|pt| pt.as_var() == Some(v)).expect("var occurs in pattern")
-        })
-        .collect();
-    let check_repeats = p.has_repeated_var();
     let bound = p.bound();
     let extent = table.scan_with(perm.unwrap_or_else(|| Perm::for_bound(&bound)), &bound);
-    let batch = ctx.profile().effective_batch_rows();
-    ctx.counters.rows_reserved += extent.len() as u64;
-    let mut out = Relation::with_capacity(vars.to_vec(), extent.len());
-    let zero_width = vars.is_empty();
-    let mut flat: Vec<TermId> = Vec::with_capacity(batch * vars.len());
-    for chunk in extent.chunks(batch) {
-        ctx.counters.tuples_scanned += chunk.len() as u64;
-        ctx.tick_n(chunk.len() as u64)?;
-        for t in chunk {
-            if check_repeats && !repeated_vars_consistent(p, t) {
-                continue;
-            }
-            if zero_width {
-                out.push_row(&[]);
-            } else {
-                let val = [t.s, t.p, t.o];
-                flat.extend(var_pos.iter().map(|&i| val[i]));
-            }
-        }
-        if !flat.is_empty() {
-            out.append_flat(&flat);
-            flat.clear();
-        }
-        ctx.check_memory(out.len())?;
-    }
-    ctx.check_memory(out.len())?;
-    Ok(out)
+    gather_extent(p, extent, ctx)
 }
 
-/// Batched interval scan: same rows and counters as
-/// [`cq::scan_range`](crate::exec::cq::scan_range)'s row path (the
-/// caller charges `range_scans` before delegating here), with the
-/// variable-position map resolved once and ticks amortized per batch.
-pub(crate) fn scan_range_batched(
+/// Scan one collapsed interval into a relation over the pattern
+/// template's distinct variables: all triples matching the template with
+/// its `ranged` position's constant replaced by any raw id in `[lo, hi)`.
+/// Row-identical (and counter-identical) to unioning the point scans of
+/// every id in the interval, since the underlying permutation index sorts
+/// the interval contiguously.
+pub(crate) fn scan_range(
     table: &TripleTable,
     p: &StorePattern,
     ranged: RangePos,
@@ -206,6 +195,19 @@ pub(crate) fn scan_range_batched(
     hi: u32,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
+    ctx.counters.range_scans += 1;
+    let mut bound = p.bound();
+    bound[ranged_index(ranged)] = None;
+    gather_extent(p, table.scan_value_range(&bound, ranged, lo, hi), ctx)
+}
+
+/// Gather a scanned index extent into a relation over `p`'s distinct
+/// variables, dropping triples that violate a repeated variable.
+fn gather_extent(
+    p: &StorePattern,
+    extent: &[TripleId],
+    ctx: &mut ExecContext<'_>,
+) -> Result<Relation, EngineError> {
     let vars = p.variables();
     let positions = p.positions();
     let var_pos: Vec<usize> = vars
@@ -215,12 +217,6 @@ pub(crate) fn scan_range_batched(
         })
         .collect();
     let check_repeats = p.has_repeated_var();
-    let mut bound = p.bound();
-    match ranged {
-        RangePos::Predicate => bound[1] = None,
-        RangePos::Object => bound[2] = None,
-    }
-    let extent = table.scan_value_range(&bound, ranged, lo, hi);
     let batch = ctx.profile().effective_batch_rows();
     ctx.counters.rows_reserved += extent.len() as u64;
     let mut out = Relation::with_capacity(vars.to_vec(), extent.len());
@@ -261,104 +257,49 @@ enum ProbeSlot {
     Free,
 }
 
-/// Batched index-nested-loop step: same rows and counters as the
-/// row-at-a-time `probe_extend`, with the probe-key template and
-/// new-variable positions resolved once and ticks amortized.
-pub(crate) fn probe_extend_batched(
+/// One index-nested-loop step: extend the binding relation `acc` by
+/// probing the best permutation index for `p` with the bound values of
+/// each row.
+pub(crate) fn probe_extend(
     table: &TripleTable,
     acc: &Relation,
     p: &StorePattern,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    let p_vars = p.variables();
-    let positions = p.positions();
-    let slots: Vec<ProbeSlot> = positions
-        .iter()
-        .map(|pt| match pt {
-            PatternTerm::Const(c) => ProbeSlot::Const(*c),
-            PatternTerm::Var(v) => match acc.column_of(*v) {
-                Some(col) => ProbeSlot::Col(col),
-                None => ProbeSlot::Free,
-            },
-        })
-        .collect();
-    let new_vars: Vec<VarId> =
-        p_vars.iter().copied().filter(|&v| acc.column_of(v).is_none()).collect();
-    let new_pos: Vec<usize> = new_vars
-        .iter()
-        .map(|&v| {
-            positions
-                .iter()
-                .position(|pt| pt.as_var() == Some(v))
-                .expect("new var occurs in pattern")
-        })
-        .collect();
-    let mut out_vars = acc.vars().to_vec();
-    out_vars.extend(new_vars.iter().copied());
-    let width = out_vars.len();
-    let zero_width = width == 0;
-    let check_repeats = p.has_repeated_var();
-    let mut out = Relation::empty(out_vars);
-    let batch = ctx.profile().effective_batch_rows();
-    let mut flat: Vec<TermId> = Vec::with_capacity(batch * width);
-    let mut pending: u64 = 0;
-
-    for arow in acc.rows() {
-        pending += 1;
-        let mut bound: [Option<TermId>; 3] = [None, None, None];
-        for (i, slot) in slots.iter().enumerate() {
-            bound[i] = match slot {
-                ProbeSlot::Const(c) => Some(*c),
-                ProbeSlot::Col(col) => Some(arow[*col]),
-                ProbeSlot::Free => None,
-            };
-        }
-        let matches = table.scan(&bound);
-        ctx.counters.tuples_scanned += matches.len() as u64;
-        pending += matches.len() as u64;
-        for t in matches {
-            if check_repeats && !repeated_vars_consistent(p, t) {
-                continue;
-            }
-            ctx.counters.tuples_joined += 1;
-            if zero_width {
-                out.push_row(&[]);
-            } else {
-                let val = [t.s, t.p, t.o];
-                flat.extend_from_slice(arow);
-                flat.extend(new_pos.iter().map(|&i| val[i]));
-            }
-        }
-        if pending >= batch as u64 {
-            ctx.tick_n(pending)?;
-            pending = 0;
-            if !flat.is_empty() {
-                out.append_flat(&flat);
-                flat.clear();
-            }
-            ctx.check_memory(out.len())?;
-        }
-    }
-    ctx.tick_n(pending)?;
-    if !flat.is_empty() {
-        out.append_flat(&flat);
-    }
-    ctx.check_memory(out.len())?;
-    Ok(out)
+    probe(acc, p, None, |bound| table.scan(bound), ctx)
 }
 
-/// Batched interval-probe step: same rows and counters as the
-/// row-at-a-time `probe_extend_range` (the caller charges `range_scans`
-/// before delegating here) — one contiguous `scan_value_range` probe per
-/// input row, with the probe-key template resolved once and ticks
-/// amortized.
-pub(crate) fn probe_extend_range_batched(
+/// One interval-probe step: like [`probe_extend`], but the probed
+/// pattern's `ranged` position matches any raw id in `[lo, hi)` — one
+/// contiguous `scan_value_range` probe per input row where the
+/// uncollapsed union needed one point probe per collapsed member
+/// (LiteMat's "the type check becomes an interval membership test").
+pub(crate) fn probe_extend_range(
     table: &TripleTable,
     acc: &Relation,
     p: &StorePattern,
     ranged: RangePos,
     lo: u32,
     hi: u32,
+    ctx: &mut ExecContext<'_>,
+) -> Result<Relation, EngineError> {
+    ctx.counters.range_scans += 1;
+    // The ranged position's template constant stands for the whole
+    // interval: unbind it so the probe covers the contiguous index run.
+    let unbound = Some(ranged_index(ranged));
+    probe(acc, p, unbound, |bound| table.scan_value_range(bound, ranged, lo, hi), ctx)
+}
+
+/// The probe loop shared by both index-nested-loop steps: per row of
+/// `acc`, fill the probe key (pattern constants plus the row's bound
+/// variables; `unbound` forces one position free) and extend the row by
+/// every triple `scan` returns for it. The probe-key template and the
+/// new-variable positions are resolved once per operator.
+fn probe<'t>(
+    acc: &Relation,
+    p: &StorePattern,
+    unbound: Option<usize>,
+    scan: impl Fn(&[Option<TermId>; 3]) -> &'t [TripleId],
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
     let p_vars = p.variables();
@@ -373,12 +314,9 @@ pub(crate) fn probe_extend_range_batched(
             },
         })
         .collect();
-    // The ranged position's template constant stands for the whole
-    // interval: unbind it so the probe covers the contiguous index run.
-    slots[match ranged {
-        RangePos::Predicate => 1,
-        RangePos::Object => 2,
-    }] = ProbeSlot::Free;
+    if let Some(i) = unbound {
+        slots[i] = ProbeSlot::Free;
+    }
     let new_vars: Vec<VarId> =
         p_vars.iter().copied().filter(|&v| acc.column_of(v).is_none()).collect();
     let new_pos: Vec<usize> = new_vars
@@ -410,7 +348,7 @@ pub(crate) fn probe_extend_range_batched(
                 ProbeSlot::Free => None,
             };
         }
-        let matches = table.scan_value_range(&bound, ranged, lo, hi);
+        let matches = scan(&bound);
         ctx.counters.tuples_scanned += matches.len() as u64;
         pending += matches.len() as u64;
         for t in matches {
@@ -444,10 +382,9 @@ pub(crate) fn probe_extend_range_batched(
     Ok(out)
 }
 
-/// Batched head projection: sources resolved once (as in the row path),
-/// rows gathered through a flat batch buffer with an amortized liveness
-/// poll.
-pub(crate) fn project_head_batched(
+/// Project a body result onto a head of variables and constants:
+/// sources resolved once, rows gathered through a flat batch buffer.
+pub(crate) fn project_head(
     body: &Relation,
     head: &[PatternTerm],
     out_vars: &[VarId],
@@ -500,14 +437,14 @@ pub(crate) fn project_head_batched(
     Ok(out)
 }
 
-/// Batched hash join: the build table is keyed by u64 key hashes
-/// (bucket entries verified against the actual key columns on probe)
-/// instead of one allocated `Vec` key per row; emission goes through a
-/// flat batch buffer with amortized ticks. Row order, `tuples_joined`
-/// and `tuples_materialized` are identical to the row path: bucket
-/// candidates are stored in build order, and filtering them by exact
-/// key equality yields exactly the equal-key rows in that order.
-pub(crate) fn hash_join_batched(
+/// Hash join: build on the smaller input, probe with the larger. The
+/// build table is keyed by u64 key hashes (bucket entries verified
+/// against the actual key columns on probe) instead of one allocated
+/// `Vec` key per row. Rows are always emitted as (left ++ right-carry),
+/// so the build/probe choice only affects which side is hashed; bucket
+/// candidates are stored in build order, so the output order does not
+/// depend on the batch size.
+pub(crate) fn hash_join(
     left: &Relation,
     right: &Relation,
     opts: join::JoinOpts,
@@ -585,15 +522,14 @@ fn gather_keys(rel: &Relation, cols: &[usize]) -> Vec<TermId> {
     keys
 }
 
-/// Batched sort-merge join: both sides' keys are materialized once into
-/// flat buffers (the row path allocates a key `Vec` per comparison),
-/// then sorted and merged with batched emission. The sort comparator
-/// orders exactly like the row path's, so the output row sequence is
-/// identical — as are the order-aware effects: sort elision verifies the
-/// same claim on the same key sequence, and galloping fires under the
-/// same size-skew test, so `sorts_elided` / `gallop_seeks` match the
-/// row kernel exactly.
-pub(crate) fn sort_merge_join_batched(
+/// Sort-merge join: both sides' keys are materialized once into flat
+/// buffers, then sorted and merged with batched emission. Order-aware
+/// (`opts.elide`): a side the planner proved sorted skips its sort
+/// after one cheap linear verification — a violated claim falls back to
+/// sorting — and when input sizes are skewed ≥
+/// [`GALLOP_SKEW`](join::GALLOP_SKEW)× the larger side advances with
+/// galloping seeks instead of one row at a time.
+pub(crate) fn sort_merge_join(
     left: &Relation,
     right: &Relation,
     opts: join::JoinOpts,
@@ -611,8 +547,8 @@ pub(crate) fn sort_merge_join_batched(
     fn slice_key(keys: &[TermId], i: usize, k: usize) -> &[TermId] {
         &keys[i * k..i * k + k]
     }
-    // Mirror of the row kernel's prefix detection: the longest key
-    // prefix the input already arrives sorted on, in one linear pass.
+    // The longest key prefix the input already arrives sorted on, in
+    // one linear pass (early exit once no prefix survives).
     let sorted_prefix = |keys: &[TermId], n: usize| -> usize {
         let mut j = k;
         for x in 1..n {
@@ -644,8 +580,10 @@ pub(crate) fn sort_merge_join_batched(
             }
             let j = sorted_prefix(keys, n);
             if j == k {
-                // Fully sorted: merge in input order (only a claimed
-                // elision is counted — see the row kernel).
+                // Fully sorted: merge in input order. Only a
+                // planner-claimed elision is counted (and exempted
+                // from the materialization charge) — an input sorted
+                // by coincidence still skips the sort, silently.
                 return (ids, elide);
             }
             if j > 0 {
@@ -670,8 +608,8 @@ pub(crate) fn sort_merge_join_batched(
     };
     let (lids, l_elided) = order_side(&lkeys, left.len(), opts.elide.0);
     let (rids, r_elided) = order_side(&rkeys, right.len(), opts.elide.1);
-    // Mirror of the row kernel: an elided side is merged in input order
-    // and skips the materialization charge.
+    // An elided side is merged in input order — only sides actually
+    // sorted here are charged as materialized working set.
     let mut charged = 0usize;
     for (elided, n) in [(l_elided, left.len()), (r_elided, right.len())] {
         if elided {
@@ -683,8 +621,8 @@ pub(crate) fn sort_merge_join_batched(
     ctx.tick_n((left.len() + right.len()) as u64)?;
     ctx.counters.tuples_materialized += charged as u64;
     ctx.check_memory(left.len() + right.len())?;
-    // Mirror of the row kernel: galloping is gated on the order-aware
-    // knob so `JUCQ_ORDER=0` falls back to row-at-a-time stepping.
+    // Galloping is an order-aware execution feature: with the knob off
+    // (`JUCQ_ORDER=0`) the merge steps one row at a time.
     let gallop = ctx.profile().order_aware;
     let gallop_l = gallop && left.len() >= join::GALLOP_SKEW * right.len();
     let gallop_r = gallop && right.len() >= join::GALLOP_SKEW * left.len();
@@ -761,10 +699,9 @@ pub(crate) fn sort_merge_join_batched(
     Ok(out)
 }
 
-/// Batched block-nested-loop join: same quadratic comparison pattern as
-/// the row path (the MySQL-like profile's deliberate weak spot keeps
-/// its cost shape), but with amortized ticks and batched emission.
-pub(crate) fn block_nested_loop_join_batched(
+/// Block-nested-loop join: compare every pair of rows. Quadratic by
+/// design — the weak spot of the MySQL-like profile.
+pub(crate) fn block_nested_loop_join(
     left: &Relation,
     right: &Relation,
     ctx: &mut ExecContext<'_>,
@@ -798,8 +735,8 @@ pub(crate) fn block_nested_loop_join_batched(
                 }
             }
         }
-        // The row path enforces the budget once per outer row; keep the
-        // same granularity so breach timing stays in the same class.
+        // The budget is enforced once per outer row, so a runaway
+        // product stops before the next outer row is expanded.
         ctx.check_memory(out.len() + flat.len() / width.max(1))?;
     }
     ctx.tick_n(pending)?;
@@ -810,10 +747,11 @@ pub(crate) fn block_nested_loop_join_batched(
     Ok(out)
 }
 
-/// Batched union merge: identical `tuples_deduped` and accumulator
-/// contents to the row path, with the liveness poll amortized per
-/// batch.
-pub(crate) fn merge_member_batched(
+/// Merge one member's result into the accumulating union: count the
+/// examined rows as deduplicated work, insert each and enforce the
+/// memory budget on the distinct rows held so far. Shared by the
+/// sequential and parallel union paths so both charge identical work.
+pub(crate) fn merge_member(
     acc: &mut DedupAccumulator,
     r: &Relation,
     ctx: &mut ExecContext<'_>,
@@ -836,6 +774,7 @@ pub(crate) fn merge_member_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Counters;
     use crate::profile::EngineProfile;
     use jucq_model::term::TermKind;
 
@@ -906,51 +845,63 @@ mod tests {
         assert_eq!(ctx.counters.sip_probes, 0);
     }
 
+    /// Joins over `l` and `r` at one-row batches (the reference) and
+    /// at `sizes`: identical rows in identical order, identical counters.
+    fn assert_batch_invariant(
+        l: &Relation,
+        r: &Relation,
+        opts: join::JoinOpts,
+        sizes: &[usize],
+    ) -> Counters {
+        type JoinFn = fn(
+            &Relation,
+            &Relation,
+            join::JoinOpts,
+            &mut ExecContext<'_>,
+        ) -> Result<Relation, EngineError>;
+        let kernels: [(&str, JoinFn); 3] = [
+            ("hash", hash_join),
+            ("merge", sort_merge_join),
+            ("bnl", |l, r, _, ctx| block_nested_loop_join(l, r, ctx)),
+        ];
+        let mut merge_counters = Counters::default();
+        for (name, f) in kernels {
+            let one = EngineProfile::pg_like().with_batch_size(1);
+            let mut rctx = ExecContext::new(&one);
+            let reference = f(l, r, opts, &mut rctx).unwrap();
+            for &size in sizes {
+                let profile = EngineProfile::pg_like().with_batch_size(size);
+                let mut bctx = ExecContext::new(&profile);
+                let got = f(l, r, opts, &mut bctx).unwrap();
+                assert_eq!(
+                    reference, got,
+                    "{name} batch={size}: identical rows in identical order"
+                );
+                assert_eq!(rctx.counters, bctx.counters, "{name} batch={size}: identical counters");
+            }
+            if name == "merge" {
+                merge_counters = rctx.counters;
+            }
+        }
+        merge_counters
+    }
+
     #[test]
     fn batched_joins_match_row_joins_exactly() {
         let l = rel(vec![0, 1], &[&[1, 10], &[2, 20], &[3, 30], &[1, 11]]);
         let r = rel(vec![1, 2], &[&[10, 100], &[10, 101], &[30, 300], &[40, 400]]);
-        let row_profile = EngineProfile::pg_like().with_batch_size(0);
-        let batch_profile = EngineProfile::pg_like().with_batch_size(2);
-        type JoinFn = Box<
-            dyn Fn(&Relation, &Relation, &mut ExecContext<'_>) -> Result<Relation, EngineError>,
-        >;
-        let opts = join::JoinOpts::default();
-        let pairs: [(JoinFn, JoinFn); 3] = [
-            (
-                Box::new(join::hash_join),
-                Box::new(move |l, r, ctx| hash_join_batched(l, r, opts, ctx)),
-            ),
-            (
-                Box::new(join::sort_merge_join),
-                Box::new(move |l, r, ctx| sort_merge_join_batched(l, r, opts, ctx)),
-            ),
-            (Box::new(join::block_nested_loop_join), Box::new(block_nested_loop_join_batched)),
-        ];
-        for (row_f, batch_f) in pairs {
-            let mut rctx = ExecContext::new(&row_profile);
-            let rows = row_f(&l, &r, &mut rctx).unwrap();
-            let mut bctx = ExecContext::new(&batch_profile);
-            let batched = batch_f(&l, &r, &mut bctx).unwrap();
-            assert_eq!(rows, batched, "identical rows in identical order");
-            assert_eq!(rctx.counters, bctx.counters, "identical counters");
-        }
+        assert_batch_invariant(&l, &r, join::JoinOpts::default(), &[2, 3, 1024]);
     }
 
     #[test]
     fn batched_merge_join_mirrors_order_aware_counters() {
         let l = rel(vec![0, 1], &[&[1, 10], &[2, 20], &[3, 30], &[9, 30]]);
         let r = rel(vec![1, 2], &[&[10, 100], &[10, 101], &[30, 300], &[40, 400]]);
-        let row_profile = EngineProfile::pg_like().with_batch_size(0);
-        let batch_profile = EngineProfile::pg_like().with_batch_size(2);
         for elide in [(false, false), (true, false), (false, true), (true, true)] {
             let opts = join::JoinOpts { elide, est: Some(4.0) };
-            let mut rctx = ExecContext::new(&row_profile);
-            let rows = join::sort_merge_join_opts(&l, &r, opts, &mut rctx).unwrap();
-            let mut bctx = ExecContext::new(&batch_profile);
-            let batched = sort_merge_join_batched(&l, &r, opts, &mut bctx).unwrap();
-            assert_eq!(rows, batched, "elide={elide:?}");
-            assert_eq!(rctx.counters, bctx.counters, "elide={elide:?}");
+            let merge = assert_batch_invariant(&l, &r, opts, &[2, 1024]);
+            let claimed = u64::from(elide.0) + u64::from(elide.1);
+            assert_eq!(merge.sorts_elided, claimed, "elide={elide:?}");
         }
     }
 
@@ -960,15 +911,7 @@ mod tests {
         let lslices: Vec<&[u32]> = lrows.iter().map(Vec::as_slice).collect();
         let l = rel(vec![0, 1], &lslices);
         let r = rel(vec![0, 2], &[&[100, 7], &[400, 8]]);
-        let opts = join::JoinOpts::default();
-        let row_profile = EngineProfile::pg_like().with_batch_size(0);
-        let mut rctx = ExecContext::new(&row_profile);
-        let rows = join::sort_merge_join_opts(&l, &r, opts, &mut rctx).unwrap();
-        let batch_profile = EngineProfile::pg_like().with_batch_size(64);
-        let mut bctx = ExecContext::new(&batch_profile);
-        let batched = sort_merge_join_batched(&l, &r, opts, &mut bctx).unwrap();
-        assert_eq!(rows, batched);
-        assert!(rctx.counters.gallop_seeks > 0);
-        assert_eq!(rctx.counters, bctx.counters);
+        let merge = assert_batch_invariant(&l, &r, join::JoinOpts::default(), &[3, 64, 1024]);
+        assert!(merge.gallop_seeks > 0);
     }
 }

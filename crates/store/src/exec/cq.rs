@@ -21,14 +21,11 @@
 
 use std::borrow::Cow;
 
-use jucq_model::{TermId, TripleId};
-
 use crate::error::EngineError;
 use crate::exec::{batch, join, ExecContext};
-use crate::ir::{PatternTerm, StorePattern, VarId};
 use crate::plan::PlanNode;
 use crate::relation::Relation;
-use crate::table::{Perm, RangePos, TripleTable};
+use crate::table::TripleTable;
 
 /// Evaluate one lowered union member against `table`, with `shared`
 /// holding the plan's materialized shared scans. Bag semantics:
@@ -71,10 +68,7 @@ fn eval_member_inner(
                 // the projection of nothing is nothing.
                 return Ok(Relation::empty(out_vars.clone()));
             }
-            if ctx.profile().vectorized {
-                return batch::project_head_batched(&body, head, out_vars, ctx);
-            }
-            Ok(project_head(&body, head, out_vars))
+            batch::project_head(&body, head, out_vars, ctx)
         }
         other => Ok(eval_access(table, other, shared, ctx)?.into_owned()),
     }
@@ -90,22 +84,22 @@ fn eval_access<'s>(
 ) -> Result<Cow<'s, Relation>, EngineError> {
     match node {
         PlanNode::IndexScan { pattern, perm, .. } => {
-            Ok(Cow::Owned(scan_pattern_with(table, pattern, *perm, ctx)?))
+            Ok(Cow::Owned(batch::scan_pattern(table, pattern, *perm, ctx)?))
         }
         PlanNode::RangeScan { pattern, ranged, lo, hi, .. } => {
-            Ok(Cow::Owned(scan_range(table, pattern, *ranged, *lo, *hi, ctx)?))
+            Ok(Cow::Owned(batch::scan_range(table, pattern, *ranged, *lo, *hi, ctx)?))
         }
-        // `scan_pattern` applies the repeated-variable filter inline;
+        // The scan kernels apply the repeated-variable filter inline;
         // the Filter node documents it in the plan tree.
         PlanNode::Filter { input, .. } => eval_access(table, input, shared, ctx),
         PlanNode::SharedScan { id, .. } => Ok(Cow::Borrowed(&shared[*id])),
         PlanNode::Inlj { input, pattern } => {
             let acc = eval_access(table, input, shared, ctx)?;
-            Ok(Cow::Owned(probe_extend(table, &acc, pattern, ctx)?))
+            Ok(Cow::Owned(batch::probe_extend(table, &acc, pattern, ctx)?))
         }
         PlanNode::RangeProbe { input, pattern, ranged, lo, hi, .. } => {
             let acc = eval_access(table, input, shared, ctx)?;
-            Ok(Cow::Owned(probe_extend_range(table, &acc, pattern, *ranged, *lo, *hi, ctx)?))
+            Ok(Cow::Owned(batch::probe_extend_range(table, &acc, pattern, *ranged, *lo, *hi, ctx)?))
         }
         PlanNode::HashJoin { left, right, step: None, est } => {
             let l = eval_access(table, left, shared, ctx)?;
@@ -115,309 +109,20 @@ fn eval_access<'s>(
             }
             let r = eval_access(table, right, shared, ctx)?;
             let opts = join::JoinOpts { elide: (false, false), est: *est };
-            Ok(Cow::Owned(join::hash_join_opts(&l, &r, opts, ctx)?))
+            Ok(Cow::Owned(batch::hash_join(&l, &r, opts, ctx)?))
         }
         other => unreachable!("not an access-path node: {other:?}"),
     }
-}
-
-/// Project a body result onto a head of variables and constants.
-pub(crate) fn project_head(body: &Relation, head: &[PatternTerm], out_vars: &[VarId]) -> Relation {
-    enum Source {
-        Column(usize),
-        Constant(TermId),
-    }
-    let sources: Vec<Source> = head
-        .iter()
-        .map(|t| match t {
-            PatternTerm::Var(v) => {
-                Source::Column(body.column_of(*v).expect("head variable bound by the body"))
-            }
-            PatternTerm::Const(c) => Source::Constant(*c),
-        })
-        .collect();
-    let mut out = Relation::with_capacity(out_vars.to_vec(), body.len());
-    let mut row_buf: Vec<TermId> = Vec::with_capacity(head.len());
-    for row in body.rows() {
-        row_buf.clear();
-        for s in &sources {
-            row_buf.push(match s {
-                Source::Column(c) => row[*c],
-                Source::Constant(c) => *c,
-            });
-        }
-        out.push_row(&row_buf);
-    }
-    out
-}
-
-/// A triple matches a pattern's variable structure iff repeated
-/// variables bind equal values.
-#[inline]
-pub(crate) fn repeated_vars_consistent(p: &StorePattern, t: &TripleId) -> bool {
-    let pos = p.positions();
-    let val = [t.s, t.p, t.o];
-    for i in 0..3 {
-        for j in (i + 1)..3 {
-            if let (PatternTerm::Var(a), PatternTerm::Var(b)) = (pos[i], pos[j]) {
-                if a == b && val[i] != val[j] {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Scan one pattern into a relation over its distinct variables, using
-/// the default permutation index for the bound positions.
-pub(crate) fn scan_pattern(
-    table: &TripleTable,
-    p: &StorePattern,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    scan_pattern_with(table, p, None, ctx)
-}
-
-/// [`scan_pattern`] through an explicit permutation index: the
-/// order-aware planner picks `perm` so the scan's output order feeds a
-/// sort-elided merge join. Any candidate perm yields the same row *set*;
-/// only the emission order differs.
-pub(crate) fn scan_pattern_with(
-    table: &TripleTable,
-    p: &StorePattern,
-    perm: Option<Perm>,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    if ctx.profile().vectorized {
-        return batch::scan_pattern_batched(table, p, perm, ctx);
-    }
-    let vars = p.variables();
-    let bound = p.bound();
-    let extent = table.scan_with(perm.unwrap_or_else(|| Perm::for_bound(&bound)), &bound);
-    ctx.counters.rows_reserved += extent.len() as u64;
-    let mut out = Relation::with_capacity(vars.to_vec(), extent.len());
-    let mut row: Vec<TermId> = Vec::with_capacity(vars.len());
-    for t in extent {
-        ctx.tick()?;
-        ctx.counters.tuples_scanned += 1;
-        if !repeated_vars_consistent(p, t) {
-            continue;
-        }
-        row.clear();
-        let val = [t.s, t.p, t.o];
-        for v in vars {
-            let i = p
-                .positions()
-                .iter()
-                .position(|pt| pt.as_var() == Some(v))
-                .expect("var occurs in pattern");
-            row.push(val[i]);
-        }
-        out.push_row(&row);
-    }
-    ctx.check_memory(out.len())?;
-    Ok(out)
-}
-
-/// Scan one collapsed interval into a relation over the pattern
-/// template's distinct variables: all triples matching the template with
-/// its `ranged` position's constant replaced by any raw id in `[lo, hi)`.
-/// Row-identical (and counter-identical) to unioning the point scans of
-/// every id in the interval, since the underlying permutation index sorts
-/// the interval contiguously.
-pub(crate) fn scan_range(
-    table: &TripleTable,
-    p: &StorePattern,
-    ranged: RangePos,
-    lo: u32,
-    hi: u32,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    ctx.counters.range_scans += 1;
-    if ctx.profile().vectorized {
-        return batch::scan_range_batched(table, p, ranged, lo, hi, ctx);
-    }
-    let mut bound = p.bound();
-    match ranged {
-        RangePos::Predicate => bound[1] = None,
-        RangePos::Object => bound[2] = None,
-    }
-    let vars = p.variables();
-    let extent = table.scan_value_range(&bound, ranged, lo, hi);
-    ctx.counters.rows_reserved += extent.len() as u64;
-    let mut out = Relation::with_capacity(vars.to_vec(), extent.len());
-    let mut row: Vec<TermId> = Vec::with_capacity(vars.len());
-    for t in extent {
-        ctx.tick()?;
-        ctx.counters.tuples_scanned += 1;
-        if !repeated_vars_consistent(p, t) {
-            continue;
-        }
-        row.clear();
-        let val = [t.s, t.p, t.o];
-        for v in vars {
-            let i = p
-                .positions()
-                .iter()
-                .position(|pt| pt.as_var() == Some(v))
-                .expect("var occurs in pattern");
-            row.push(val[i]);
-        }
-        out.push_row(&row);
-    }
-    ctx.check_memory(out.len())?;
-    Ok(out)
-}
-
-/// One index-nested-loop step: extend the binding relation `acc` by
-/// probing the best permutation index for `p` with the bound values of
-/// each row.
-fn probe_extend(
-    table: &TripleTable,
-    acc: &Relation,
-    p: &StorePattern,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    if ctx.profile().vectorized {
-        return batch::probe_extend_batched(table, acc, p, ctx);
-    }
-    let p_vars = p.variables();
-    // Columns of `acc` that bind variables of `p`.
-    let shared: Vec<(usize, VarId)> = acc
-        .vars()
-        .iter()
-        .enumerate()
-        .filter(|&(_, v)| p_vars.contains(v))
-        .map(|(i, &v)| (i, v))
-        .collect();
-    let new_vars: Vec<VarId> =
-        p_vars.iter().copied().filter(|v| acc.column_of(*v).is_none()).collect();
-    let mut out_vars = acc.vars().to_vec();
-    out_vars.extend(new_vars.iter().copied());
-    let mut out = Relation::empty(out_vars);
-    let positions = p.positions();
-    let mut row_buf: Vec<TermId> = Vec::with_capacity(out.width());
-
-    for row in acc.rows() {
-        ctx.tick()?;
-        // Build the probe key: pattern constants plus variables bound
-        // by the current row.
-        let mut bound: [Option<TermId>; 3] = [None, None, None];
-        for (i, pt) in positions.iter().enumerate() {
-            bound[i] = match pt {
-                PatternTerm::Const(c) => Some(*c),
-                PatternTerm::Var(v) => {
-                    shared.iter().find(|(_, sv)| sv == v).map(|(col, _)| row[*col])
-                }
-            };
-        }
-        for t in table.scan(&bound) {
-            ctx.tick()?;
-            ctx.counters.tuples_scanned += 1;
-            if !repeated_vars_consistent(p, t) {
-                continue;
-            }
-            let val = [t.s, t.p, t.o];
-            row_buf.clear();
-            row_buf.extend_from_slice(row);
-            for &v in &new_vars {
-                let i = positions
-                    .iter()
-                    .position(|pt| pt.as_var() == Some(v))
-                    .expect("new var occurs in pattern");
-                row_buf.push(val[i]);
-            }
-            ctx.counters.tuples_joined += 1;
-            out.push_row(&row_buf);
-        }
-    }
-    ctx.check_memory(out.len())?;
-    Ok(out)
-}
-
-/// One interval-probe step: like [`probe_extend`], but the probed
-/// pattern's `ranged` position matches any raw id in `[lo, hi)` — one
-/// contiguous `scan_value_range` probe per input row where the
-/// uncollapsed union needed one point probe per collapsed member
-/// (LiteMat's "the type check becomes an interval membership test").
-fn probe_extend_range(
-    table: &TripleTable,
-    acc: &Relation,
-    p: &StorePattern,
-    ranged: RangePos,
-    lo: u32,
-    hi: u32,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    ctx.counters.range_scans += 1;
-    if ctx.profile().vectorized {
-        return batch::probe_extend_range_batched(table, acc, p, ranged, lo, hi, ctx);
-    }
-    let p_vars = p.variables();
-    let shared: Vec<(usize, VarId)> = acc
-        .vars()
-        .iter()
-        .enumerate()
-        .filter(|&(_, v)| p_vars.contains(v))
-        .map(|(i, &v)| (i, v))
-        .collect();
-    let new_vars: Vec<VarId> =
-        p_vars.iter().copied().filter(|v| acc.column_of(*v).is_none()).collect();
-    let mut out_vars = acc.vars().to_vec();
-    out_vars.extend(new_vars.iter().copied());
-    let mut out = Relation::empty(out_vars);
-    let positions = p.positions();
-    let mut row_buf: Vec<TermId> = Vec::with_capacity(out.width());
-
-    for row in acc.rows() {
-        ctx.tick()?;
-        let mut bound: [Option<TermId>; 3] = [None, None, None];
-        for (i, pt) in positions.iter().enumerate() {
-            bound[i] = match pt {
-                PatternTerm::Const(c) => Some(*c),
-                PatternTerm::Var(v) => {
-                    shared.iter().find(|(_, sv)| sv == v).map(|(col, _)| row[*col])
-                }
-            };
-        }
-        // The ranged position's template constant stands for the whole
-        // interval: unbind it and probe the contiguous index run.
-        match ranged {
-            RangePos::Predicate => bound[1] = None,
-            RangePos::Object => bound[2] = None,
-        }
-        for t in table.scan_value_range(&bound, ranged, lo, hi) {
-            ctx.tick()?;
-            ctx.counters.tuples_scanned += 1;
-            if !repeated_vars_consistent(p, t) {
-                continue;
-            }
-            let val = [t.s, t.p, t.o];
-            row_buf.clear();
-            row_buf.extend_from_slice(row);
-            for &v in &new_vars {
-                let i = positions
-                    .iter()
-                    .position(|pt| pt.as_var() == Some(v))
-                    .expect("new var occurs in pattern");
-                row_buf.push(val[i]);
-            }
-            ctx.counters.tuples_joined += 1;
-            out.push_row(&row_buf);
-        }
-    }
-    ctx.check_memory(out.len())?;
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Store;
-    use crate::ir::StoreCq;
+    use crate::ir::{PatternTerm, StoreCq, StorePattern, VarId};
     use crate::profile::EngineProfile;
     use jucq_model::term::TermKind;
+    use jucq_model::{TermId, TripleId};
 
     fn id(i: u32) -> TermId {
         TermId::new(TermKind::Uri, i)

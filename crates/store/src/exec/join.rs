@@ -6,8 +6,6 @@
 //! compute the natural join on the variables shared by the two schemas;
 //! with no shared variable they degrade to a cartesian product.
 
-use jucq_model::{FxHashMap, TermId};
-
 use crate::error::EngineError;
 use crate::exec::{batch, ExecContext};
 use crate::ir::VarId;
@@ -98,9 +96,9 @@ pub fn fragment_join(
 ) -> Result<Relation, EngineError> {
     let op = ctx.op_start();
     let out = match algo {
-        JoinAlgo::Hash => hash_join_opts(left, right, opts, ctx),
-        JoinAlgo::SortMerge => sort_merge_join_opts(left, right, opts, ctx),
-        JoinAlgo::BlockNestedLoop => block_nested_loop_join(left, right, ctx),
+        JoinAlgo::Hash => batch::hash_join(left, right, opts, ctx),
+        JoinAlgo::SortMerge => batch::sort_merge_join(left, right, opts, ctx),
+        JoinAlgo::BlockNestedLoop => batch::block_nested_loop_join(left, right, ctx),
     }?;
     ctx.op_finish(op, op_name(algo), out.len() as u64);
     Ok(out)
@@ -116,8 +114,8 @@ pub fn op_name(algo: JoinAlgo) -> &'static str {
 }
 
 /// The join plan shared by all algorithms: key columns on both sides and
-/// the output schema (left columns ++ right non-key columns). Shared
-/// with the batched kernels in [`crate::exec::batch`].
+/// the output schema (left columns ++ right non-key columns), consumed
+/// by the kernels in [`crate::exec::batch`].
 pub(crate) struct JoinPlan {
     pub(crate) left_key: Vec<usize>,
     pub(crate) right_key: Vec<usize>,
@@ -144,77 +142,13 @@ pub(crate) fn plan(left: &Relation, right: &Relation) -> JoinPlan {
     JoinPlan { left_key, right_key, right_carry, out_vars }
 }
 
-fn emit(
-    out: &mut Relation,
-    row_buf: &mut Vec<TermId>,
-    lrow: &[TermId],
-    rrow: &[TermId],
-    plan: &JoinPlan,
-) {
-    row_buf.clear();
-    row_buf.extend_from_slice(lrow);
-    row_buf.extend(plan.right_carry.iter().map(|&i| rrow[i]));
-    out.push_row(row_buf);
-}
-
 /// Hash join: build a table on the smaller input, probe with the larger.
 pub fn hash_join(
     left: &Relation,
     right: &Relation,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    hash_join_opts(left, right, JoinOpts::default(), ctx)
-}
-
-/// [`hash_join`] with pre-sized output from the plan estimate.
-pub fn hash_join_opts(
-    left: &Relation,
-    right: &Relation,
-    opts: JoinOpts,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    if ctx.profile().vectorized {
-        return batch::hash_join_batched(left, right, opts, ctx);
-    }
-    ctx.check_deadline()?;
-    let p = plan(left, right);
-    let mut out = sized_output(p.out_vars.clone(), opts.est, ctx);
-    if left.is_empty() || right.is_empty() {
-        return Ok(out);
-    }
-    // Build on the smaller side; probe from the larger. We always emit
-    // rows as (left ++ right-carry), so the build/probe choice only
-    // affects which side is hashed.
-    let build_left = left.len() <= right.len();
-    let (build, probe) = if build_left { (left, right) } else { (right, left) };
-    let (build_key, probe_key) =
-        if build_left { (&p.left_key, &p.right_key) } else { (&p.right_key, &p.left_key) };
-    let mut table: FxHashMap<Vec<TermId>, Vec<usize>> = FxHashMap::default();
-    for (i, row) in build.rows().enumerate() {
-        ctx.tick()?;
-        let key: Vec<TermId> = build_key.iter().map(|&c| row[c]).collect();
-        table.entry(key).or_default().push(i);
-    }
-    ctx.counters.tuples_materialized += build.len() as u64;
-    ctx.check_memory(build.len())?;
-    let mut row_buf: Vec<TermId> = Vec::with_capacity(out.width());
-    let mut key_buf: Vec<TermId> = Vec::with_capacity(probe_key.len());
-    for prow in probe.rows() {
-        ctx.tick()?;
-        key_buf.clear();
-        key_buf.extend(probe_key.iter().map(|&c| prow[c]));
-        if let Some(matches) = table.get(&key_buf) {
-            for &bi in matches {
-                ctx.tick()?;
-                ctx.counters.tuples_joined += 1;
-                let brow = build.row(bi);
-                let (lrow, rrow) = if build_left { (brow, prow) } else { (prow, brow) };
-                emit(&mut out, &mut row_buf, lrow, rrow, &p);
-            }
-            ctx.check_memory(out.len())?;
-        }
-    }
-    Ok(out)
+    batch::hash_join(left, right, JoinOpts::default(), ctx)
 }
 
 /// Sort-merge join: sort both inputs on the key, merge equal runs.
@@ -223,159 +157,7 @@ pub fn sort_merge_join(
     right: &Relation,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    sort_merge_join_opts(left, right, JoinOpts::default(), ctx)
-}
-
-/// [`sort_merge_join`] with order-aware options: a side the planner
-/// proved sorted skips its sort (after one cheap linear verification —
-/// a violated claim falls back to sorting), and when input sizes are
-/// skewed ≥ [`GALLOP_SKEW`]× the larger side advances with galloping
-/// seeks instead of row-at-a-time stepping.
-pub fn sort_merge_join_opts(
-    left: &Relation,
-    right: &Relation,
-    opts: JoinOpts,
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    if ctx.profile().vectorized {
-        return batch::sort_merge_join_batched(left, right, opts, ctx);
-    }
-    ctx.check_deadline()?;
-    let p = plan(left, right);
-    let mut out = sized_output(p.out_vars.clone(), opts.est, ctx);
-    if left.is_empty() || right.is_empty() {
-        return Ok(out);
-    }
-    let key_of =
-        |row: &[TermId], cols: &[usize]| -> Vec<TermId> { cols.iter().map(|&c| row[c]).collect() };
-    // Longest key prefix the input already arrives sorted on, found in
-    // one linear pass (early exit once no prefix survives).
-    let sorted_prefix = |rel: &Relation, key: &[usize]| -> usize {
-        let mut j = key.len();
-        for x in 1..rel.len() {
-            let (a, b) = (rel.row(x - 1), rel.row(x));
-            for (c, &col) in key.iter().enumerate().take(j) {
-                match a[col].cmp(&b[col]) {
-                    std::cmp::Ordering::Less => break,
-                    std::cmp::Ordering::Equal => continue,
-                    std::cmp::Ordering::Greater => {
-                        j = c;
-                        break;
-                    }
-                }
-            }
-            if j == 0 {
-                break;
-            }
-        }
-        j
-    };
-    let aware = ctx.profile().order_aware;
-    let order_side = |rel: &Relation, key: &[usize], elide: bool| -> (Vec<usize>, bool) {
-        let mut ids: Vec<usize> = (0..rel.len()).collect();
-        if aware {
-            if rel.len() <= 1 {
-                return (ids, elide);
-            }
-            let j = sorted_prefix(rel, key);
-            if j == key.len() {
-                // Fully sorted: merge in input order. Only a
-                // planner-claimed elision is counted (and exempted
-                // from the materialization charge) — an input sorted
-                // by coincidence still skips the sort, silently.
-                return (ids, elide);
-            }
-            if j > 0 {
-                // Sorted on a strict key prefix: sort only within the
-                // runs of equal prefix — O(n log run) not O(n log n).
-                let mut s = 0;
-                while s < ids.len() {
-                    let mut e = s + 1;
-                    while e < ids.len()
-                        && key[..j].iter().all(|&c| rel.row(ids[s])[c] == rel.row(ids[e])[c])
-                    {
-                        e += 1;
-                    }
-                    ids[s..e].sort_unstable_by_key(|&i| key_of(rel.row(i), key));
-                    s = e;
-                }
-                return (ids, false);
-            }
-        } else if elide
-            && (1..rel.len()).all(|x| key_of(rel.row(x - 1), key) <= key_of(rel.row(x), key))
-        {
-            return (ids, true);
-        }
-        ids.sort_unstable_by_key(|&i| key_of(rel.row(i), key));
-        (ids, false)
-    };
-    let (lids, l_elided) = order_side(left, &p.left_key, opts.elide.0);
-    let (rids, r_elided) = order_side(right, &p.right_key, opts.elide.1);
-    // An elided side is merged in input order — only sides actually
-    // sorted here are charged as materialized working set.
-    let mut charged = 0usize;
-    for (elided, n) in [(l_elided, left.len()), (r_elided, right.len())] {
-        if elided {
-            ctx.counters.sorts_elided += 1;
-        } else {
-            charged += n;
-        }
-    }
-    ctx.counters.tuples_materialized += charged as u64;
-    ctx.check_memory(left.len() + right.len())?;
-    // Galloping is an order-aware execution feature: with the knob off
-    // (`JUCQ_ORDER=0`) the merge steps one row at a time.
-    let gallop = ctx.profile().order_aware;
-    let gallop_l = gallop && left.len() >= GALLOP_SKEW * right.len();
-    let gallop_r = gallop && right.len() >= GALLOP_SKEW * left.len();
-
-    let mut row_buf: Vec<TermId> = Vec::with_capacity(out.width());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lids.len() && j < rids.len() {
-        ctx.tick()?;
-        let lk = key_of(left.row(lids[i]), &p.left_key);
-        let rk = key_of(right.row(rids[j]), &p.right_key);
-        match lk.cmp(&rk) {
-            std::cmp::Ordering::Less => {
-                if gallop_l {
-                    i = gallop_to(i, lids.len(), |x| key_of(left.row(lids[x]), &p.left_key) >= rk);
-                    ctx.counters.gallop_seeks += 1;
-                } else {
-                    i += 1;
-                }
-            }
-            std::cmp::Ordering::Greater => {
-                if gallop_r {
-                    j = gallop_to(j, rids.len(), |x| {
-                        key_of(right.row(rids[x]), &p.right_key) >= lk
-                    });
-                    ctx.counters.gallop_seeks += 1;
-                } else {
-                    j += 1;
-                }
-            }
-            std::cmp::Ordering::Equal => {
-                // Find the equal runs on both sides.
-                let i_end = (i..lids.len())
-                    .find(|&x| key_of(left.row(lids[x]), &p.left_key) != lk)
-                    .unwrap_or(lids.len());
-                let j_end = (j..rids.len())
-                    .find(|&x| key_of(right.row(rids[x]), &p.right_key) != rk)
-                    .unwrap_or(rids.len());
-                for &li in &lids[i..i_end] {
-                    for &rj in &rids[j..j_end] {
-                        ctx.tick()?;
-                        ctx.counters.tuples_joined += 1;
-                        emit(&mut out, &mut row_buf, left.row(li), right.row(rj), &p);
-                    }
-                }
-                ctx.check_memory(out.len())?;
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    Ok(out)
+    batch::sort_merge_join(left, right, JoinOpts::default(), ctx)
 }
 
 /// Block-nested-loop join: compare every pair of rows. Quadratic by
@@ -385,24 +167,7 @@ pub fn block_nested_loop_join(
     right: &Relation,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Relation, EngineError> {
-    if ctx.profile().vectorized {
-        return batch::block_nested_loop_join_batched(left, right, ctx);
-    }
-    ctx.check_deadline()?;
-    let p = plan(left, right);
-    let mut out = Relation::empty(p.out_vars.clone());
-    let mut row_buf: Vec<TermId> = Vec::with_capacity(out.width());
-    for lrow in left.rows() {
-        for rrow in right.rows() {
-            ctx.tick()?;
-            if p.left_key.iter().zip(&p.right_key).all(|(&lc, &rc)| lrow[lc] == rrow[rc]) {
-                ctx.counters.tuples_joined += 1;
-                emit(&mut out, &mut row_buf, lrow, rrow, &p);
-            }
-        }
-        ctx.check_memory(out.len())?;
-    }
-    Ok(out)
+    batch::block_nested_loop_join(left, right, ctx)
 }
 
 #[cfg(test)]
@@ -410,6 +175,7 @@ mod tests {
     use super::*;
     use crate::profile::EngineProfile;
     use jucq_model::term::TermKind;
+    use jucq_model::TermId;
     use std::time::Duration;
 
     fn id(i: u32) -> TermId {
@@ -545,7 +311,7 @@ mod tests {
         for elide in [(false, false), (true, false), (false, true), (true, true)] {
             let mut ctx = ExecContext::new(&profile);
             let opts = JoinOpts { elide, est: None };
-            let mut got = sort_merge_join_opts(&l, &r, opts, &mut ctx).expect("merge join");
+            let mut got = batch::sort_merge_join(&l, &r, opts, &mut ctx).expect("merge join");
             got.sort();
             assert_eq!(got.to_rows(), expect.to_rows(), "elide={elide:?}");
             let claimed = u64::from(elide.0) + u64::from(elide.1);
@@ -571,7 +337,7 @@ mod tests {
         let profile = EngineProfile::pg_like();
         let mut ctx = ExecContext::new(&profile);
         let opts = JoinOpts { elide: (true, true), est: None };
-        let mut got = sort_merge_join_opts(&l, &r, opts, &mut ctx).expect("merge join");
+        let mut got = batch::sort_merge_join(&l, &r, opts, &mut ctx).expect("merge join");
         got.sort();
         let mut hctx = ExecContext::new(&profile);
         let mut expect = hash_join(&l, &r, &mut hctx).expect("hash join");
@@ -591,7 +357,7 @@ mod tests {
         let profile = EngineProfile::pg_like();
         let mut ctx = ExecContext::new(&profile);
         let mut got =
-            sort_merge_join_opts(&l, &r, JoinOpts::default(), &mut ctx).expect("merge join");
+            batch::sort_merge_join(&l, &r, JoinOpts::default(), &mut ctx).expect("merge join");
         got.sort();
         assert!(ctx.counters.gallop_seeks > 0, "skewed sides should gallop");
         let mut hctx = ExecContext::new(&profile);
@@ -604,7 +370,7 @@ mod tests {
         let off = EngineProfile::pg_like().with_order_aware(false);
         let mut octx = ExecContext::new(&off);
         let mut plain =
-            sort_merge_join_opts(&l, &r, JoinOpts::default(), &mut octx).expect("merge join");
+            batch::sort_merge_join(&l, &r, JoinOpts::default(), &mut octx).expect("merge join");
         plain.sort();
         assert_eq!(octx.counters.gallop_seeks, 0, "knob off must not gallop");
         assert_eq!(plain.to_rows(), expect.to_rows());
@@ -617,7 +383,7 @@ mod tests {
         let profile = EngineProfile::pg_like();
         let mut ctx = ExecContext::new(&profile);
         let opts = JoinOpts { elide: (false, false), est: Some(2.0) };
-        hash_join_opts(&l, &r, opts, &mut ctx).expect("hash join");
+        batch::hash_join(&l, &r, opts, &mut ctx).expect("hash join");
         assert_eq!(ctx.counters.rows_reserved, 2);
         // The clamp bounds pathological estimates.
         assert_eq!(reserve_rows(Some(f64::MAX)), 1 << 20);

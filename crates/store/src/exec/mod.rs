@@ -5,7 +5,9 @@
 //!   (index-nested-loop or hash);
 //! * [`join`] — joins of materialized relations (hash, sort-merge,
 //!   block-nested-loop);
-//! * [`union`] — unions of CQ results with set semantics.
+//! * [`union`] — unions of CQ results with set semantics;
+//! * [`batch`] — the batched kernels every operator above runs, and the
+//!   sideways-information-passing Bloom filter.
 //!
 //! All operators run inside an [`ExecContext`] that enforces the engine
 //! profile's deadline and memory budget and records the counters the
@@ -309,23 +311,12 @@ impl<'a> ExecContext<'a> {
         self.shared.held_tuples.fetch_sub(tuples as u64, Ordering::Relaxed);
     }
 
-    /// Cheap, amortized liveness check; call once per produced tuple.
-    /// Every poll window it checks the deadline and the shared cancel
-    /// flag, so a failure on one worker stops all of them promptly.
-    #[inline]
-    pub fn tick(&mut self) -> Result<(), EngineError> {
-        self.ticks += 1;
-        if self.ticks & DEADLINE_POLL_MASK == 0 {
-            self.check_live()?;
-        }
-        Ok(())
-    }
-
     /// Amortized liveness check for a whole batch of `n` produced
     /// tuples: advances the tick counter in one step and polls once per
-    /// crossed poll window, so batched operators keep the same
-    /// poll-at-least-every-16384-tuples cadence as the row-at-a-time
-    /// path without one branch per tuple.
+    /// crossed poll window (at least every 16384 tuples) without one
+    /// branch per tuple. Each poll checks the deadline and the shared
+    /// cancel flag, so a failure on one worker stops all of them
+    /// promptly.
     #[inline]
     pub fn tick_n(&mut self, n: u64) -> Result<(), EngineError> {
         let before = self.ticks;
@@ -480,7 +471,7 @@ mod tests {
         ctx.backdate(Duration::from_millis(2));
         let mut failed = false;
         for _ in 0..=DEADLINE_POLL_MASK {
-            if ctx.tick().is_err() {
+            if ctx.tick_n(1).is_err() {
                 failed = true;
                 break;
             }

@@ -1,9 +1,9 @@
 //! Process-wide worker-permit pool: one budget for every query's
 //! parallelism.
 //!
-//! Each query's (fragment × member) task list is already pulled
-//! morsel-style by a work-stealing claim counter
-//! ([`super::parallel::eval_unions`]); what used to be unbounded was
+//! Each fragment union's member list is already pulled morsel-style
+//! by a work-stealing claim counter
+//! ([`super::parallel::eval_union`]); what used to be unbounded was
 //! the number of *pullers*. Every concurrent query spawning its
 //! profile's full `parallelism` oversubscribes the machine as soon as
 //! a server runs two queries at once — 8 clients × 8 workers = 64

@@ -111,27 +111,6 @@ impl DedupAccumulator {
     }
 }
 
-/// Merge one member's result into the accumulating union: count the
-/// examined rows as deduplicated work, insert each (ticking the
-/// liveness poll) and enforce the memory budget on the distinct rows
-/// held so far. Shared by the sequential and parallel union paths so
-/// both charge identical work.
-pub(crate) fn merge_member(
-    acc: &mut DedupAccumulator,
-    r: &Relation,
-    ctx: &mut ExecContext<'_>,
-) -> Result<(), EngineError> {
-    if ctx.profile().vectorized {
-        return crate::exec::batch::merge_member_batched(acc, r, ctx);
-    }
-    ctx.counters.tuples_deduped += r.len() as u64;
-    for row in r.rows() {
-        ctx.tick()?;
-        acc.insert(row);
-    }
-    ctx.check_memory(acc.len())
-}
-
 /// Close a **borrowed** union: the zero-copy path for a single-member
 /// fragment whose member plan is
 /// [distinct by construction](crate::plan::PlanNode::distinct_by_construction).

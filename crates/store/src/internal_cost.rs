@@ -29,12 +29,6 @@ const CPU_MATERIALIZE: f64 = 0.8;
 const CPU_DEDUP: f64 = 1.1;
 const STARTUP: f64 = 10.0;
 
-/// Per-tuple CPU discount of the batched kernels (calibrated from the
-/// `vec_speedup` bench: amortized liveness polls, hoisted column maps
-/// and bulk buffer appends cut per-tuple dispatch by roughly a third).
-/// Applied to every CPU term but not to `STARTUP`.
-const BATCH_CPU_DISCOUNT: f64 = 0.7;
-
 /// Join-input discount when sideways-information-passing filters are
 /// on: Bloom probes drop part of each non-base fragment before it
 /// reaches the fragment join, shrinking build and probe inputs.
@@ -176,13 +170,11 @@ pub fn estimate(store: &Store, q: &StoreJucq) -> f64 {
 
     let final_card = stats.est_jucq(table, q);
     let savings = sharing_savings(table, profile, q);
-    let cpu_scale = if profile.vectorized { BATCH_CPU_DISCOUNT } else { 1.0 };
-    let join_scale = if profile.sip_filters && q.fragments.len() > 1 {
-        cpu_scale * SIP_JOIN_DISCOUNT
-    } else {
-        cpu_scale
-    };
-    cpu_scale * ((frag_costs - savings).max(0.0) + mat + CPU_DEDUP * final_card)
+    let join_scale =
+        if profile.sip_filters && q.fragments.len() > 1 { SIP_JOIN_DISCOUNT } else { 1.0 };
+    (frag_costs - savings).max(0.0)
+        + mat
+        + CPU_DEDUP * final_card
         + join_scale * join_cost
         + STARTUP
 }
@@ -272,14 +264,6 @@ mod tests {
         let shared = estimate(&store(EngineProfile::pg_like()), &q);
         let unshared = estimate(&store(EngineProfile::pg_like().with_scan_sharing(false)), &q);
         assert!(shared < unshared, "shared {shared} should undercut unshared {unshared}");
-    }
-
-    #[test]
-    fn vectorized_execution_discounts_cpu_cost() {
-        let q = StoreJucq::from_ucq(one_fragment(vec![StorePattern::new(v(0), c(10), v(1))]));
-        let batched = estimate(&store(EngineProfile::pg_like()), &q);
-        let row = estimate(&store(EngineProfile::pg_like().with_batch_size(0)), &q);
-        assert!(batched < row, "batched {batched} should undercut row-at-a-time {row}");
     }
 
     #[test]

@@ -3,24 +3,24 @@
 //! plan), the fragment join tree, and the final projection and
 //! duplicate elimination.
 //!
-//! Plans with sideways-information-passing filters (`plan.sip`
-//! non-empty) are executed **staged**: fragments run one at a time in
-//! join order, so each join step's accumulated left side exists when
-//! its target fragment starts and can publish a Bloom filter the
-//! fragment's members probe. Plans without SIP run all fragments
-//! up-front (possibly across one worker pool) and then fold the join
-//! tree — byte-identical to the pre-SIP driver.
+//! There is one driver, and it is **staged**: the planner only builds
+//! left-deep fragment join trees, so fragments run one at a time in join
+//! order (each union still fans its members across the worker pool),
+//! and each join step's accumulated left side exists when its target
+//! fragment starts. A step with a planned sideways-information-passing
+//! filter (`plan.sip`) hashes that left side into a Bloom filter the
+//! fragment's members probe; a plan without SIP is the same run with
+//! zero filters.
 //!
 //! Fragment leaves may be [`PlanNode::ViewScan`]s: the executor
 //! resolves each through the supplied [`ViewSource`] — epoch-exact, so
 //! a catalog entry computed at any other epoch never serves — and
-//! copies the materialized rows through a scan-priced kernel (batched
-//! or row-at-a-time, matching the profile). A miss, or running with no
-//! view source at all, evaluates the embedded fallback union; answers
-//! are identical either way.
+//! copies the materialized rows through a scan-priced batched kernel.
+//! A miss, or running with no view source at all, evaluates the
+//! embedded fallback union; answers are identical either way.
 
 use crate::error::EngineError;
-use crate::exec::{batch, cq, join, parallel, ExecContext};
+use crate::exec::{batch, join, parallel, ExecContext};
 use crate::plan::node::{Plan, PlanNode};
 use crate::profile::JoinAlgo;
 use crate::relation::Relation;
@@ -29,8 +29,7 @@ use crate::views::ViewSource;
 
 /// Copy a resolved view's rows into a fresh relation on `ctx`'s
 /// counters: charged as a scan (`tuples_scanned`, one `view_hits`
-/// resolution), batched when the profile's vectorized kernels are on,
-/// row-at-a-time otherwise — the same liveness-poll cadence as any
+/// resolution), in batches with the same liveness-poll cadence as any
 /// other scan.
 ///
 /// The copy is **positional**: column `k` of the stored relation is the
@@ -50,22 +49,15 @@ fn copy_view_rows(
     let op = ctx.op_start();
     debug_assert_eq!(rows.vars().len(), head.len(), "view arity checked by resolve_view");
     let mut out = Relation::with_capacity(head.to_vec(), rows.len());
-    if ctx.profile().vectorized {
-        let batch_rows = ctx.profile().effective_batch_rows();
-        let mut done = 0;
-        while done < rows.len() {
-            let n = batch_rows.min(rows.len() - done);
-            for r in done..done + n {
-                out.push_row(rows.row(r));
-            }
-            ctx.tick_n(n as u64)?;
-            done += n;
+    let batch_rows = ctx.profile().effective_batch_rows();
+    let mut done = 0;
+    while done < rows.len() {
+        let n = batch_rows.min(rows.len() - done);
+        for r in done..done + n {
+            out.push_row(rows.row(r));
         }
-    } else {
-        for r in rows.rows() {
-            out.push_row(r);
-            ctx.tick()?;
-        }
+        ctx.tick_n(n as u64)?;
+        done += n;
     }
     ctx.counters.tuples_scanned += out.len() as u64;
     ctx.counters.view_hits += 1;
@@ -120,7 +112,7 @@ pub(crate) fn execute(
     let mut shared: Vec<Relation> = Vec::with_capacity(plan.shared.len());
     for (i, def) in plan.shared.iter().enumerate() {
         let op = ctx.op_start();
-        let rel = cq::scan_pattern(table, &def.pattern, ctx)?;
+        let rel = batch::scan_pattern(table, &def.pattern, None, ctx)?;
         ctx.reserve_memory(rel.len())?;
         ctx.op_finish(op, &format!("shared_scan[{i}]"), rel.len() as u64);
         shared.push(rel);
@@ -134,142 +126,36 @@ pub(crate) fn execute(
         },
         other => other,
     };
-
-    let acc = if plan.sip.is_empty() {
-        let leaves = plan.fragment_leaves();
-        let mut slots: Vec<Option<Relation>> = leaves.iter().map(|_| None).collect();
-        let mut tasks: Vec<parallel::UnionTask<'_>> = Vec::new();
-        for leaf in &leaves {
-            if let Some(rel) = resolve_view(leaf, plan, views, ctx)? {
-                let PlanNode::ViewScan { idx, .. } = leaf else { unreachable!() };
-                slots[*idx] = Some(rel);
-                continue;
-            }
-            let union = leaf.fallback_union();
-            let (idx, head, members) = union.as_union().expect("fragment leaf wraps a union");
-            let est = match union {
-                PlanNode::HashUnion { est, .. } => *est,
-                _ => None,
-            };
-            tasks.push(parallel::UnionTask { idx, head, members, est, filter: None });
-        }
-        let frags = parallel::eval_unions(table, &tasks, &shared, ctx, threads)?;
-        for (task, rel) in tasks.iter().zip(frags) {
-            slots[task.idx] = Some(rel);
-        }
-
-        // All but the pipelined (largest-estimate) fragment are charged
-        // as materialized (§4.1: "the largest-result sub-query ... is
-        // the one pipelined").
-        if slots.len() > 1 {
-            for (i, f) in slots.iter().enumerate() {
-                let f = f.as_ref().expect("every fragment has a result");
-                if Some(i) != plan.pipelined {
-                    ctx.counters.tuples_materialized += f.len() as u64;
-                    ctx.check_memory(f.len())?;
-                }
-            }
-        }
-
-        fold_joins(tree, &mut slots, ctx)?
-    } else {
-        execute_staged(table, plan, tree, &shared, ctx, threads, views)?
-    };
-
-    let op = ctx.op_start();
-    let mut relation = acc.project(&plan.head);
-    ctx.counters.tuples_deduped += relation.len() as u64;
-    if ctx.profile().vectorized {
-        relation.dedup_in_place_hashed();
-    } else {
-        relation.dedup_in_place();
-    }
-    ctx.op_finish(op, "dedup", relation.len() as u64);
-
-    ctx.release_memory(shared_held);
-    Ok(relation)
-}
-
-/// Staged execution of a multi-fragment plan with SIP filters:
-/// fragments are evaluated one at a time in join order (each union
-/// still fans its members across the worker pool). When a join step has
-/// a planned [`SipFilterDef`](crate::plan::SipFilterDef), the
-/// accumulated left side is hashed into a Bloom filter first and the
-/// right fragment's members probe it as they complete. A view-resolved
-/// fragment skips its filter (the filter only prunes work the copy
-/// kernel does not do; the join itself discards non-matching rows).
-#[allow(clippy::too_many_arguments)]
-fn execute_staged(
-    table: &TripleTable,
-    plan: &Plan,
-    tree: &PlanNode,
-    shared: &[Relation],
-    ctx: &mut ExecContext<'_>,
-    threads: usize,
-    views: Option<&ViewSource<'_>>,
-) -> Result<Relation, EngineError> {
-    // Linearize the left-deep join tree into its execution order: the
-    // base fragment, then one (algo, opts, step, right-fragment) per
-    // join. Merge steps carry the planner's sort-elision flags; every
-    // step carries its output estimate for pre-sizing.
-    let mut steps: Vec<(JoinAlgo, join::JoinOpts, usize, &PlanNode)> = Vec::new();
-    let mut node = tree;
-    let base = loop {
-        match node {
-            PlanNode::HashUnion { .. } | PlanNode::ViewScan { .. } => break node,
-            PlanNode::HashJoin { left, right, step: Some(step), est } => {
-                let opts = join::JoinOpts { elide: (false, false), est: *est };
-                steps.push((JoinAlgo::Hash, opts, *step, right));
-                node = left;
-            }
-            PlanNode::MergeJoin { left, right, step, est, sort_elided } => {
-                let opts = join::JoinOpts { elide: *sort_elided, est: *est };
-                steps.push((
-                    JoinAlgo::SortMerge,
-                    opts,
-                    step.expect("fragment join has a step"),
-                    right,
-                ));
-                node = left;
-            }
-            PlanNode::NestedLoopJoin { left, right, step, est } => {
-                let opts = join::JoinOpts { elide: (false, false), est: *est };
-                steps.push((
-                    JoinAlgo::BlockNestedLoop,
-                    opts,
-                    step.expect("fragment join has a step"),
-                    right,
-                ));
-                node = left;
-            }
-            other => unreachable!("not a fragment-level node: {other:?}"),
-        }
-    };
-    steps.reverse();
+    let (base, steps) = join_steps(tree);
 
     let eval_fragment = |leaf: &PlanNode,
                          filter: Option<&batch::SipFilter>,
                          ctx: &mut ExecContext<'_>|
      -> Result<Relation, EngineError> {
-        if let Some(rel) = resolve_view(leaf, plan, views, ctx)? {
-            let PlanNode::ViewScan { idx, .. } = leaf else { unreachable!() };
-            if Some(*idx) != plan.pipelined {
-                ctx.counters.tuples_materialized += rel.len() as u64;
-                ctx.check_memory(rel.len())?;
+        let (idx, rel) = match resolve_view(leaf, plan, views, ctx)? {
+            // A view-resolved fragment skips its filter: the filter only
+            // prunes work the copy kernel does not do, and the join
+            // itself discards non-matching rows.
+            Some(rel) => {
+                let PlanNode::ViewScan { idx, .. } = leaf else { unreachable!() };
+                (*idx, rel)
             }
-            return Ok(rel);
-        }
-        let union = leaf.fallback_union();
-        let (idx, head, members) = union.as_union().expect("fragment join input wraps a union");
-        let est = match union {
-            PlanNode::HashUnion { est, .. } => *est,
-            _ => None,
+            None => {
+                let union = leaf.fallback_union();
+                let (idx, head, members) = union.as_union().expect("fragment leaf wraps a union");
+                let est = match union {
+                    PlanNode::HashUnion { est, .. } => *est,
+                    _ => None,
+                };
+                let task = parallel::UnionTask { idx, head, members, est, filter };
+                (idx, parallel::eval_union(table, &task, &shared, ctx, threads)?)
+            }
         };
-        let task = parallel::UnionTask { idx, head, members, est, filter };
-        let mut frags =
-            parallel::eval_unions(table, std::slice::from_ref(&task), shared, ctx, threads)?;
-        let rel = frags.pop().expect("one task, one result");
-        if Some(idx) != plan.pipelined {
+        // All but the pipelined (largest-estimate) fragment are charged
+        // as materialized (§4.1: "the largest-result sub-query ... is
+        // the one pipelined"). A single-fragment plan has no pipelined
+        // fragment and nothing to join, so it charges nothing.
+        if plan.pipelined.is_some_and(|p| p != idx) {
             ctx.counters.tuples_materialized += rel.len() as u64;
             ctx.check_memory(rel.len())?;
         }
@@ -287,38 +173,53 @@ fn execute_staged(
         ctx.set_scope(String::new());
         acc = out?;
     }
-    Ok(acc)
+
+    let op = ctx.op_start();
+    let mut relation = acc.project(&plan.head);
+    ctx.counters.tuples_deduped += relation.len() as u64;
+    relation.dedup_in_place_hashed();
+    ctx.op_finish(op, "dedup", relation.len() as u64);
+
+    ctx.release_memory(shared_held);
+    Ok(relation)
 }
 
-/// Recursively evaluate the fragment-level join tree, taking each
-/// fragment's materialized result out of its slot.
-fn fold_joins(
-    node: &PlanNode,
-    slots: &mut [Option<Relation>],
-    ctx: &mut ExecContext<'_>,
-) -> Result<Relation, EngineError> {
-    let (algo, opts, left, right, step) = match node {
-        PlanNode::HashUnion { idx, .. } | PlanNode::ViewScan { idx, .. } => {
-            return Ok(slots[*idx].take().expect("each fragment consumed once"));
-        }
-        PlanNode::HashJoin { left, right, step: Some(step), est } => {
-            let opts = join::JoinOpts { elide: (false, false), est: *est };
-            (JoinAlgo::Hash, opts, left, right, *step)
-        }
-        PlanNode::MergeJoin { left, right, step, est, sort_elided } => {
-            let opts = join::JoinOpts { elide: *sort_elided, est: *est };
-            (JoinAlgo::SortMerge, opts, left, right, step.expect("fragment join has a step"))
-        }
-        PlanNode::NestedLoopJoin { left, right, step, est } => {
-            let opts = join::JoinOpts { elide: (false, false), est: *est };
-            (JoinAlgo::BlockNestedLoop, opts, left, right, step.expect("fragment join has a step"))
-        }
-        other => unreachable!("not a fragment-level node: {other:?}"),
+/// One fragment join step in execution order: the algorithm, its
+/// options (merge sort-elision flags and output estimate), the step
+/// number, and the right-hand fragment leaf.
+type JoinStep<'p> = (JoinAlgo, join::JoinOpts, usize, &'p PlanNode);
+
+/// Linearize the left-deep fragment join tree into its base fragment
+/// and the join steps that fold the remaining fragments in, in order.
+fn join_steps(tree: &PlanNode) -> (&PlanNode, Vec<JoinStep<'_>>) {
+    let mut steps: Vec<JoinStep<'_>> = Vec::new();
+    let mut node = tree;
+    let base = loop {
+        let (algo, opts, left, right, step) = match node {
+            PlanNode::HashUnion { .. } | PlanNode::ViewScan { .. } => break node,
+            PlanNode::HashJoin { left, right, step: Some(step), est } => {
+                let opts = join::JoinOpts { elide: (false, false), est: *est };
+                (JoinAlgo::Hash, opts, left, right, *step)
+            }
+            PlanNode::MergeJoin { left, right, step, est, sort_elided } => {
+                let opts = join::JoinOpts { elide: *sort_elided, est: *est };
+                (JoinAlgo::SortMerge, opts, left, right, step.expect("fragment join has a step"))
+            }
+            PlanNode::NestedLoopJoin { left, right, step, est } => {
+                let opts = join::JoinOpts { elide: (false, false), est: *est };
+                (
+                    JoinAlgo::BlockNestedLoop,
+                    opts,
+                    left,
+                    right,
+                    step.expect("fragment join has a step"),
+                )
+            }
+            other => unreachable!("not a fragment-level node: {other:?}"),
+        };
+        steps.push((algo, opts, step, &**right));
+        node = left;
     };
-    let l = fold_joins(left, slots, ctx)?;
-    let r = fold_joins(right, slots, ctx)?;
-    ctx.set_scope(format!("join[{step}]."));
-    let out = join::fragment_join(algo, &l, &r, opts, ctx);
-    ctx.set_scope(String::new());
-    out
+    steps.reverse();
+    (base, steps)
 }

@@ -1545,7 +1545,7 @@ mod tests {
     fn range_probe_plans_return_the_same_rows_as_ucq() {
         use crate::engine::Store;
         // Two-atom members where the collapsed interval rides a probe:
-        // every (knob × vectorized) combination must agree row-for-row.
+        // every (knob × batch size) combination must agree row-for-row.
         let members: Vec<StoreCq> = [1u32, 2, 3]
             .iter()
             .map(|&o| {
@@ -1564,9 +1564,8 @@ mod tests {
             vec![t(1, 10, 2), t(2, 10, 3), t(3, 10, 1), t(1, 11, 100), t(2, 11, 101), t(4, 10, 4)];
         let mut rows_by_mode = Vec::new();
         for on in [true, false] {
-            for vectorized in [true, false] {
-                let mut profile = EngineProfile::pg_like().with_range_scans(on);
-                profile.vectorized = vectorized;
+            for batch in [1, 1024] {
+                let profile = EngineProfile::pg_like().with_range_scans(on).with_batch_size(batch);
                 let s = Store::from_triples(&triples, profile);
                 let out = s.eval_jucq(&q).expect("evaluation succeeds");
                 let mut r = out.relation;
@@ -1574,7 +1573,7 @@ mod tests {
                 if on {
                     assert!(
                         out.counters.range_scans > 0,
-                        "collapsed plan exercises a range kernel (vectorized={vectorized})"
+                        "collapsed plan exercises a range kernel (batch={batch})"
                     );
                 }
                 rows_by_mode.push(r.to_rows());
@@ -1598,9 +1597,8 @@ mod tests {
             vec![t(1, 10, 2), t(2, 10, 3), t(3, 10, 1), t(1, 11, 100), t(2, 11, 101), t(4, 10, 4)];
         let mut rows_by_mode = Vec::new();
         for on in [true, false] {
-            for vectorized in [true, false] {
-                let mut profile = EngineProfile::pg_like().with_range_scans(on);
-                profile.vectorized = vectorized;
+            for batch in [1, 1024] {
+                let profile = EngineProfile::pg_like().with_range_scans(on).with_batch_size(batch);
                 let s = Store::from_triples(&triples, profile);
                 let out = s.eval_jucq(&q).expect("evaluation succeeds");
                 let mut r = out.relation;
@@ -1608,7 +1606,7 @@ mod tests {
                 assert_eq!(
                     out.counters.range_scans,
                     u64::from(on),
-                    "range_scans counter tracks the knob (vectorized={vectorized})"
+                    "range_scans counter tracks the knob (batch={batch})"
                 );
                 rows_by_mode.push(r.to_rows());
             }

@@ -60,16 +60,9 @@ pub struct EngineProfile {
     /// Disable to measure the unshared baseline (`BENCH_plan_sharing`).
     #[serde(default = "default_share_scans")]
     pub share_scans: bool,
-    /// If true (the default), operators run their batched (vectorized)
-    /// kernels: tuples move in [`batch_rows`](Self::batch_rows)-row
-    /// chunks with amortized liveness polls and per-batch memory checks.
-    /// Rows and counters are bit-identical to the row-at-a-time path;
-    /// only the per-tuple dispatch cost changes. `JUCQ_BATCH=0` or
-    /// `--batch-size 0` fall back to row-at-a-time.
-    #[serde(default = "default_vectorized")]
-    pub vectorized: bool,
-    /// Rows per batch of the vectorized kernels (ignored when
-    /// [`vectorized`](Self::vectorized) is off). Clamped to ≥ 1.
+    /// Rows per batch of the operator kernels: tuples move in chunks of
+    /// this many rows, with one liveness poll and memory check per
+    /// chunk. Clamped to ≥ 1.
     #[serde(default = "default_batch_rows")]
     pub batch_rows: usize,
     /// If true (the default), multi-fragment plans stage their fragment
@@ -129,60 +122,54 @@ fn default_range_scans() -> bool {
     true
 }
 
-/// The `JUCQ_VIEWS` environment variable, parsed once per profile
-/// construction: unset or any non-zero number keeps view matching on,
-/// `0` disables it; an unparsable value warns once through `jucq-obs`
-/// and keeps the default. (Numbers above zero double as a tuple budget
-/// for the layers that own a catalog; the profile only cares whether
-/// matching is enabled.)
-pub fn default_view_scans() -> bool {
-    match std::env::var("JUCQ_VIEWS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => return n != 0,
-            Err(_) => {
-                jucq_obs::warn_once(
-                    "warn.jucq_views_invalid",
-                    &format!("ignoring unparsable JUCQ_VIEWS={v:?}; view matching stays enabled"),
-                );
-            }
-        },
-        Err(std::env::VarError::NotPresent) => {}
-        Err(std::env::VarError::NotUnicode(_)) => {
-            jucq_obs::warn_once(
-                "warn.jucq_views_invalid",
-                "ignoring non-unicode JUCQ_VIEWS; view matching stays enabled",
-            );
-        }
-    }
-    true
+#[allow(dead_code)]
+fn default_batch_rows() -> usize {
+    DEFAULT_BATCH_ROWS
 }
 
-/// The `JUCQ_ORDER` environment variable, parsed once per profile
-/// construction: unset or any non-zero number keeps order-aware
-/// planning on, `0` disables it; an unparsable value warns once through
-/// `jucq-obs` and keeps the default.
-pub fn default_order_aware() -> bool {
-    match std::env::var("JUCQ_ORDER") {
-        Ok(v) => {
-            match v.trim().parse::<usize>() {
-                Ok(n) => return n != 0,
-                Err(_) => {
-                    jucq_obs::warn_once(
-                    "warn.jucq_order_invalid",
-                    &format!("ignoring unparsable JUCQ_ORDER={v:?}; order-aware planning stays enabled"),
+/// Rows per batch when nothing overrides it: the sweet spot where the
+/// per-batch bookkeeping amortizes but batches stay cache-resident.
+pub const DEFAULT_BATCH_ROWS: usize = 1024;
+
+/// The environment variable `name` as a number, read once per profile
+/// construction: `None` when unset. An unparsable or non-unicode value
+/// warns once under `warn_key` through `jucq-obs` and also yields
+/// `None`, so the caller keeps its default.
+fn env_usize(name: &str, warn_key: &'static str) -> Option<usize> {
+    match std::env::var(name) {
+        Ok(v) => match v.trim().parse::<usize>() {
+            Ok(n) => Some(n),
+            Err(_) => {
+                jucq_obs::warn_once(
+                    warn_key,
+                    &format!("ignoring unparsable {name}={v:?}; keeping the default"),
                 );
-                }
+                None
             }
-        }
-        Err(std::env::VarError::NotPresent) => {}
+        },
+        Err(std::env::VarError::NotPresent) => None,
         Err(std::env::VarError::NotUnicode(_)) => {
             jucq_obs::warn_once(
-                "warn.jucq_order_invalid",
-                "ignoring non-unicode JUCQ_ORDER; order-aware planning stays enabled",
+                warn_key,
+                &format!("ignoring non-unicode {name}; keeping the default"),
             );
+            None
         }
     }
-    true
+}
+
+/// The `JUCQ_VIEWS` environment variable: unset or any non-zero number
+/// keeps view matching on, `0` disables it. (Numbers above zero double
+/// as a tuple budget for the layers that own a catalog; the profile
+/// only cares whether matching is enabled.)
+pub fn default_view_scans() -> bool {
+    env_usize("JUCQ_VIEWS", "warn.jucq_views_invalid") != Some(0)
+}
+
+/// The `JUCQ_ORDER` environment variable: unset or any non-zero number
+/// keeps order-aware planning on, `0` disables it.
+pub fn default_order_aware() -> bool {
+    env_usize("JUCQ_ORDER", "warn.jucq_order_invalid") != Some(0)
 }
 
 /// The default worker-pool width: the `JUCQ_THREADS` environment
@@ -190,71 +177,12 @@ pub fn default_order_aware() -> bool {
 ///
 /// `JUCQ_THREADS=0` means strictly sequential (consistent with
 /// [`EngineProfile::with_parallelism`], which clamps 0 to 1); an
-/// unparsable value warns once through `jucq-obs` and falls back to the
-/// hardware width.
+/// unparsable value falls back to the hardware width.
 pub fn default_parallelism() -> usize {
-    match std::env::var("JUCQ_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => return n.max(1),
-            Err(_) => {
-                jucq_obs::warn_once(
-                    "warn.jucq_threads_invalid",
-                    &format!("ignoring unparsable JUCQ_THREADS={v:?}; using hardware parallelism"),
-                );
-            }
-        },
-        Err(std::env::VarError::NotPresent) => {}
-        Err(std::env::VarError::NotUnicode(_)) => {
-            jucq_obs::warn_once(
-                "warn.jucq_threads_invalid",
-                "ignoring non-unicode JUCQ_THREADS; using hardware parallelism",
-            );
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Rows per batch when nothing overrides it: the sweet spot where the
-/// per-batch bookkeeping amortizes but batches stay cache-resident.
-pub const DEFAULT_BATCH_ROWS: usize = 1024;
-
-/// The `JUCQ_BATCH` environment variable, parsed once per profile
-/// construction: unset keeps the defaults (vectorized, 1024 rows),
-/// `0` disables vectorized execution entirely (row-at-a-time), any
-/// other number sets the batch size; an unparsable value warns once
-/// through `jucq-obs` and keeps the defaults.
-fn batch_env() -> (bool, usize) {
-    match std::env::var("JUCQ_BATCH") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(0) => return (false, DEFAULT_BATCH_ROWS),
-            Ok(n) => return (true, n),
-            Err(_) => {
-                jucq_obs::warn_once(
-                    "warn.jucq_batch_invalid",
-                    &format!("ignoring unparsable JUCQ_BATCH={v:?}; using batch size {DEFAULT_BATCH_ROWS}"),
-                );
-            }
-        },
-        Err(std::env::VarError::NotPresent) => {}
-        Err(std::env::VarError::NotUnicode(_)) => {
-            jucq_obs::warn_once(
-                "warn.jucq_batch_invalid",
-                &format!("ignoring non-unicode JUCQ_BATCH; using batch size {DEFAULT_BATCH_ROWS}"),
-            );
-        }
-    }
-    (true, DEFAULT_BATCH_ROWS)
-}
-
-/// Whether batched kernels run by default: true unless `JUCQ_BATCH=0`.
-pub fn default_vectorized() -> bool {
-    batch_env().0
-}
-
-/// The default batch size: `JUCQ_BATCH` when set to a positive number,
-/// otherwise [`DEFAULT_BATCH_ROWS`].
-pub fn default_batch_rows() -> usize {
-    batch_env().1
+    env_usize("JUCQ_THREADS", "warn.jucq_threads_invalid").map_or_else(
+        || std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        |n| n.max(1),
+    )
 }
 
 impl EngineProfile {
@@ -271,8 +199,7 @@ impl EngineProfile {
             timeout: Duration::from_secs(30),
             parallelism: default_parallelism(),
             share_scans: true,
-            vectorized: default_vectorized(),
-            batch_rows: default_batch_rows(),
+            batch_rows: DEFAULT_BATCH_ROWS,
             sip_filters: true,
             range_scans: true,
             view_scans: default_view_scans(),
@@ -293,8 +220,7 @@ impl EngineProfile {
             timeout: Duration::from_secs(30),
             parallelism: default_parallelism(),
             share_scans: true,
-            vectorized: default_vectorized(),
-            batch_rows: default_batch_rows(),
+            batch_rows: DEFAULT_BATCH_ROWS,
             sip_filters: true,
             range_scans: true,
             view_scans: default_view_scans(),
@@ -315,8 +241,7 @@ impl EngineProfile {
             timeout: Duration::from_secs(30),
             parallelism: default_parallelism(),
             share_scans: true,
-            vectorized: default_vectorized(),
-            batch_rows: default_batch_rows(),
+            batch_rows: DEFAULT_BATCH_ROWS,
             sip_filters: true,
             range_scans: true,
             view_scans: default_view_scans(),
@@ -339,8 +264,7 @@ impl EngineProfile {
             timeout: Duration::from_secs(30),
             parallelism: default_parallelism(),
             share_scans: true,
-            vectorized: default_vectorized(),
-            batch_rows: default_batch_rows(),
+            batch_rows: DEFAULT_BATCH_ROWS,
             sip_filters: true,
             range_scans: true,
             view_scans: default_view_scans(),
@@ -389,22 +313,9 @@ impl EngineProfile {
         self
     }
 
-    /// Enable or disable the batched (vectorized) kernels.
-    pub fn with_vectorized(mut self, on: bool) -> Self {
-        self.vectorized = on;
-        self
-    }
-
-    /// Set the batch size, with the CLI's `--batch-size` semantics:
-    /// `0` disables vectorized execution (row-at-a-time), any other
-    /// value enables it with that many rows per batch.
+    /// Replace the rows per batch (clamped to at least one).
     pub fn with_batch_size(mut self, rows: usize) -> Self {
-        if rows == 0 {
-            self.vectorized = false;
-        } else {
-            self.vectorized = true;
-            self.batch_rows = rows;
-        }
+        self.batch_rows = rows.max(1);
         self
     }
 
@@ -447,19 +358,18 @@ impl EngineProfile {
 
     /// A cache-key fingerprint of every knob that changes the *plan* or
     /// how a cached plan may be replayed: toggling any of these (e.g.
-    /// via `JUCQ_BATCH` or `with_sip_filters`) must miss the plan cache
+    /// via `JUCQ_ORDER` or `with_sip_filters`) must miss the plan cache
     /// rather than serve a plan lowered under the old settings. The
     /// name alone is not enough — two profiles can share a name and
     /// differ in knobs (the `set_profile` staleness class).
     pub fn plan_cache_key(&self) -> String {
         format!(
-            "{}|join={:?}|mat={}|inlj={}|share={}|vec={}|batch={}|sip={}|range={}|views={}|order={}",
+            "{}|join={:?}|mat={}|inlj={}|share={}|batch={}|sip={}|range={}|views={}|order={}",
             self.name,
             self.fragment_join,
             self.materialize_all_unions,
             self.index_nested_loop_cq,
             self.share_scans,
-            self.vectorized,
             self.effective_batch_rows(),
             self.sip_filters,
             self.range_scans,
@@ -547,32 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn jucq_batch_env_controls_vectorization() {
-        let _serial = env_lock();
-        std::env::set_var("JUCQ_BATCH", "0");
-        assert!(!default_vectorized(), "JUCQ_BATCH=0 means row-at-a-time");
-        assert_eq!(default_batch_rows(), DEFAULT_BATCH_ROWS);
-        std::env::set_var("JUCQ_BATCH", "256");
-        assert!(default_vectorized());
-        assert_eq!(default_batch_rows(), 256);
-        std::env::remove_var("JUCQ_BATCH");
-        assert!(default_vectorized());
-        assert_eq!(default_batch_rows(), DEFAULT_BATCH_ROWS);
-    }
-
-    #[test]
-    fn jucq_batch_junk_warns_once_and_falls_back() {
-        let _serial = env_lock();
-        jucq_obs::warn::reset_for_test();
-        std::env::set_var("JUCQ_BATCH", "huge");
-        assert!(default_vectorized());
-        assert_eq!(default_batch_rows(), DEFAULT_BATCH_ROWS);
-        assert!(jucq_obs::warn::warned("warn.jucq_batch_invalid"));
-        std::env::remove_var("JUCQ_BATCH");
-        jucq_obs::warn::reset_for_test();
-    }
-
-    #[test]
     fn jucq_order_env_controls_order_awareness() {
         let _serial = env_lock();
         std::env::set_var("JUCQ_ORDER", "0");
@@ -584,20 +468,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_builder_follows_cli_semantics() {
-        let p = EngineProfile::pg_like().with_batch_size(0);
-        assert!(!p.vectorized, "0 disables batching");
-        let p = EngineProfile::pg_like().with_batch_size(333);
-        assert!(p.vectorized);
-        assert_eq!(p.effective_batch_rows(), 333);
-    }
-
-    #[test]
     fn plan_cache_key_distinguishes_batch_and_sip_knobs() {
         let base = EngineProfile::pg_like();
         let keys = [
             base.clone().plan_cache_key(),
-            base.clone().with_vectorized(!base.vectorized).plan_cache_key(),
             base.clone().with_sip_filters(!base.sip_filters).plan_cache_key(),
             base.clone().with_scan_sharing(false).plan_cache_key(),
             base.clone().with_batch_size(7).plan_cache_key(),
@@ -625,5 +499,14 @@ mod tests {
         let p = EngineProfile::pg_like().with_parallelism(8);
         assert_eq!(p.effective_parallelism(), 8);
         assert!(EngineProfile::pg_like().effective_parallelism() >= 1);
+    }
+
+    #[test]
+    fn batch_size_clamps_to_one() {
+        assert_eq!(EngineProfile::pg_like().effective_batch_rows(), DEFAULT_BATCH_ROWS);
+        let p = EngineProfile::pg_like().with_batch_size(0);
+        assert_eq!(p.effective_batch_rows(), 1);
+        let p = EngineProfile::pg_like().with_batch_size(333);
+        assert_eq!(p.effective_batch_rows(), 333);
     }
 }

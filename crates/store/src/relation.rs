@@ -152,7 +152,7 @@ impl Relation {
     /// into the already-compacted prefix (kept rows sit at or before the
     /// candidate, so probing only ever reads settled data). Same result
     /// and first-occurrence order as the snapshot version; used by the
-    /// vectorized execution path.
+    /// plan driver's final duplicate elimination.
     pub fn dedup_in_place_hashed(&mut self) -> usize {
         if self.vars.is_empty() {
             let before = self.data.len();

@@ -1,17 +1,19 @@
-//! Vectorized-execution differential matrix: the batched kernels and
-//! the sideways-information-passing (SIP) Bloom filters must be pure
-//! performance features. Across batch on/off, SIP on/off, every engine
-//! profile, and 1/2/8 worker threads, the answer multiset is identical;
-//! with SIP fixed, batch on/off additionally reports *identical*
-//! counters (scanned/joined/materialized/deduped and SIP probe/drop
-//! totals), so the batched operators are observably the row-at-a-time
-//! operators, just faster.
+//! Batched-execution differential matrix: the batch size and the
+//! sideways-information-passing (SIP) Bloom filters must be pure
+//! performance features. Across batch sizes, SIP on/off, every engine
+//! profile, and 1/2/8 worker threads, the answer set equals a naive
+//! reference evaluator's; with SIP fixed, every batch size additionally
+//! reports *identical* counters (scanned/joined/materialized/deduped
+//! and SIP probe/drop totals), so one-row batches and full batches are
+//! observably the same operators.
+
+mod naive;
 
 use jucq_model::term::TermKind;
 use jucq_model::{TermId, TripleId};
 use jucq_store::{
-    EngineError, EngineProfile, PatternTerm, Relation, Store, StoreCq, StoreJucq, StorePattern,
-    StoreUcq, VarId,
+    Counters, EngineError, EngineProfile, PatternTerm, Relation, Store, StoreCq, StoreJucq,
+    StorePattern, StoreUcq, VarId,
 };
 
 fn id(i: u32) -> TermId {
@@ -78,20 +80,15 @@ fn sorted_rows(r: &Relation) -> Vec<Vec<TermId>> {
     rows
 }
 
-/// Every (batch, sip, profile, threads) cell answers identically, and
-/// within one (sip, profile, threads) cell the three batch settings
-/// (off / tiny / default) report identical counters.
+/// Every (batch, sip, profile, threads) cell answers like the naive
+/// reference, and within one (sip, profile, threads) cell the three
+/// batch sizes (one row / tiny / default) report identical counters.
 #[test]
 fn batch_and_sip_matrix_is_differentially_identical() {
     let data = sample_triples();
     let q = query();
 
-    let baseline = {
-        let profile =
-            EngineProfile::pg_like().with_batch_size(0).with_sip_filters(false).with_parallelism(1);
-        let store = Store::from_triples(&data, profile);
-        sorted_rows(&store.eval_jucq(&q).unwrap().relation)
-    };
+    let baseline = naive::answers(&q, &data);
     assert!(!baseline.is_empty(), "the fixture must produce answers");
 
     let bases: [fn() -> EngineProfile; 4] = [
@@ -100,9 +97,9 @@ fn batch_and_sip_matrix_is_differentially_identical() {
         EngineProfile::mysql_like,
         EngineProfile::native_like,
     ];
-    // batch_rows = 0 disables vectorization; 3 forces many partial
+    // One-row batches are the reference cadence; 3 forces many partial
     // batches; 1024 is the default target.
-    let batch_sizes = [0usize, 3, 1024];
+    let batch_sizes = [1usize, 3, 1024];
     for base in bases {
         for sip in [true, false] {
             for threads in [1usize, 2, 8] {
@@ -121,7 +118,7 @@ fn batch_and_sip_matrix_is_differentially_identical() {
                     assert_eq!(sorted_rows(&out.relation), baseline, "{label}");
                     counters.push((label, out.counters));
                 }
-                // Batch on/off is counter-identical at fixed SIP: same
+                // The batch size is counter-invisible at fixed SIP: same
                 // tuples scanned, joined, materialized, deduped, and
                 // the same SIP probe/drop totals.
                 let (ref_label, reference) = &counters[0];
@@ -179,6 +176,46 @@ fn budget_breach_aborts_batched_parallel_runs() {
                 matches!(err, EngineError::MemoryBudgetExceeded { .. }),
                 "batch={batch} threads={threads}: expected a budget breach, got {err:?}"
             );
+        }
+    }
+}
+
+/// The plan driver runs every plan staged; a single-fragment plan and a
+/// multi-fragment plan without SIP filters are its edge cases (no join
+/// step, and join steps with zero filters). Their counters are pinned
+/// to the values of the earlier driver, which ran such plans' fragments
+/// up-front: in particular a single-fragment plan charges nothing as
+/// materialized, since it has no pipelined fragment to exempt.
+#[test]
+fn single_fragment_and_sip_off_counters_are_pinned() {
+    let data = sample_triples();
+    let multi = query();
+    let single = StoreJucq::from_ucq(multi.fragments[1].clone());
+    let pinned = |scanned, joined, materialized, deduped, borrowed, reserved| Counters {
+        tuples_scanned: scanned,
+        tuples_joined: joined,
+        tuples_materialized: materialized,
+        tuples_deduped: deduped,
+        scan_rows_borrowed: borrowed,
+        rows_reserved: reserved,
+        ..Counters::default()
+    };
+    type Case<'q> = (&'static str, fn() -> EngineProfile, &'q StoreJucq, Counters);
+    let cases: [Case<'_>; 4] = [
+        ("pg single", EngineProfile::pg_like, &single, pinned(54, 0, 0, 108, 0, 108)),
+        ("pg multi", EngineProfile::pg_like, &multi, pinned(174, 156, 186, 158, 120, 390)),
+        // MySQL-like copies every derived union, so even the single
+        // fragment is materialized — by the union, not the driver.
+        ("mysql single", EngineProfile::mysql_like, &single, pinned(54, 0, 54, 108, 0, 108)),
+        ("mysql multi", EngineProfile::mysql_like, &multi, pinned(174, 156, 268, 278, 0, 348)),
+    ];
+    for (label, base, q, expected) in cases {
+        for threads in [1usize, 2] {
+            let profile =
+                base().with_sip_filters(false).with_order_aware(true).with_parallelism(threads);
+            let out = Store::from_triples(&data, profile).eval_jucq(q).unwrap();
+            assert_eq!(sorted_rows(&out.relation), naive::answers(q, &data), "{label}");
+            assert_eq!(out.counters, expected, "{label} threads={threads}");
         }
     }
 }
