@@ -1932,6 +1932,42 @@ mod tests {
     }
 
     #[test]
+    fn cover_search_past_64_atoms_is_a_typed_error() {
+        // A 65-atom path: the bitmask cover searches refuse it with a
+        // typed error instead of panicking, while the fixed UCQ and SCQ
+        // covers still answer.
+        let mut db = RdfDatabase::new();
+        let node = |i: usize| Term::uri(format!("n{i}"));
+        let path: Vec<Triple> =
+            (0..70).map(|i| Triple::new(node(i), Term::uri("next"), node(i + 1))).collect();
+        db.extend(&path);
+        db.set_cost_constants(CostConstants::default());
+        let next = db.intern_uri("next");
+        let atoms = (0..65)
+            .map(|i| {
+                StorePattern::new(
+                    PatternTerm::Var(i),
+                    PatternTerm::Const(next),
+                    PatternTerm::Var(i + 1),
+                )
+            })
+            .collect();
+        let q = BgpQuery::new(vec![0], atoms);
+        for s in [Strategy::ecov_default(), Strategy::gcov_default()] {
+            let err = db.answer(&q, &s).unwrap_err();
+            assert!(
+                matches!(err, AnswerError::Cover(CoverError::TooLarge { atoms: 65, .. })),
+                "{}: {err}",
+                s.name()
+            );
+        }
+        // Paths of 65 steps start at n0..n5 on the 71-node line.
+        for s in [Strategy::Ucq, Strategy::Scq] {
+            assert_eq!(db.answer(&q, &s).unwrap().rows.len(), 6, "{}", s.name());
+        }
+    }
+
+    #[test]
     fn set_profile_rekeys_the_plan_cache_pg_to_mysql() {
         // Regression: covers (and physical plans) chosen under the
         // pg-like cost model must not be served after switching to

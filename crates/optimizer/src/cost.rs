@@ -21,7 +21,7 @@
 //! statistics layer: exact per-triple extents, estimated UCQ/JUCQ
 //! result sizes.
 
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use jucq_model::{FxHashMap, FxHashSet};
 use jucq_store::{
@@ -119,7 +119,7 @@ pub enum EvalModel {
 /// Cached per-fragment cost ingredients: everything `combine` needs,
 /// computable once per fragment and reused across the many covers that
 /// share it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FragComponents {
     /// Σ member `c_eval` (scan + linear join effort).
     pub eval: f64,
@@ -185,9 +185,10 @@ pub struct PaperCostModel<'a> {
     /// final during search); a false positive only skews an estimate,
     /// never an answer.
     price_views: Option<&'a ViewCatalog>,
-    /// Fragment-component memo; `RwLock` so concurrent scoring workers
-    /// share the hot read path without exclusive locking.
-    cache: RwLock<FxHashMap<Vec<StorePattern>, FragComponents>>,
+    /// Fragment-component memo keyed by template atoms, with the join
+    /// domains of every body variable; `RwLock` so concurrent scoring
+    /// workers share the hot read path without exclusive locking.
+    cache: RwLock<FxHashMap<Vec<StorePattern>, Arc<FragComponents>>>,
 }
 
 impl<'a> PaperCostModel<'a> {
@@ -261,39 +262,34 @@ impl<'a> PaperCostModel<'a> {
     /// where `V` is the member's input volume under the configured
     /// [`EvalModel`].
     pub fn c_eval_cq(&self, cq: &StoreCq) -> f64 {
-        (self.constants.c_t + self.constants.c_j) * self.member_input_volume(cq)
+        (self.constants.c_t + self.constants.c_j) * self.member_input_volume(cq, &self.extents(cq))
     }
 
-    /// The member's evaluated input volume under the configured model.
-    fn member_input_volume(&self, cq: &StoreCq) -> f64 {
-        match self.eval_model {
-            EvalModel::ScanVolume => self.cq_scan_volume(cq),
-            EvalModel::IndexPipeline => {
-                if cq.patterns.len() <= 1 {
-                    return self.cq_scan_volume(cq);
-                }
-                // Greedy min-extent-first pipeline: the first extent is
-                // scanned; every further step's input is the estimated
-                // intermediate result so far.
-                let mut order: Vec<usize> = (0..cq.patterns.len()).collect();
-                let extents: Vec<f64> = cq
-                    .patterns
-                    .iter()
-                    .map(|p| self.stats.pattern_card(self.table, p) as f64)
-                    .collect();
-                order
-                    .sort_by(|&a, &b| extents[a].partial_cmp(&extents[b]).expect("finite extents"));
-                let mut volume = extents[order[0]];
-                let mut prefix: Vec<StorePattern> = vec![cq.patterns[order[0]]];
-                let mut prefix_ext: Vec<f64> = vec![extents[order[0]]];
-                for &i in &order[1..] {
-                    prefix.push(cq.patterns[i]);
-                    prefix_ext.push(extents[i]);
-                    volume += self.stats.est_with_extents(&prefix, &prefix_ext);
-                }
-                volume
-            }
+    /// Each atom's exact extent.
+    fn extents(&self, cq: &StoreCq) -> Vec<f64> {
+        cq.patterns.iter().map(|p| self.stats.pattern_card(self.table, p) as f64).collect()
+    }
+
+    /// The member's evaluated input volume under the configured model,
+    /// given its atoms' [`PaperCostModel::extents`].
+    fn member_input_volume(&self, cq: &StoreCq, extents: &[f64]) -> f64 {
+        if self.eval_model == EvalModel::ScanVolume || cq.patterns.len() <= 1 {
+            return extents.iter().sum();
         }
+        // Greedy min-extent-first pipeline: the first extent is scanned;
+        // every further step's input is the estimated intermediate result
+        // so far.
+        let mut order: Vec<usize> = (0..cq.patterns.len()).collect();
+        order.sort_by(|&a, &b| extents[a].partial_cmp(&extents[b]).expect("finite extents"));
+        let mut volume = extents[order[0]];
+        let mut prefix: Vec<StorePattern> = vec![cq.patterns[order[0]]];
+        let mut prefix_ext: Vec<f64> = vec![extents[order[0]]];
+        for &i in &order[1..] {
+            prefix.push(cq.patterns[i]);
+            prefix_ext.push(extents[i]);
+            volume += self.stats.est_with_extents(&prefix, &prefix_ext);
+        }
+        volume
     }
 
     /// Total scan volume of a UCQ (the input-size proxy of equations
@@ -335,13 +331,27 @@ impl<'a> PaperCostModel<'a> {
         ucq: &StoreUcq,
         template: Option<(&[StorePattern], &[f64])>,
     ) -> FragComponents {
+        self.components(ucq, template, &ucq.head)
+    }
+
+    /// [`PaperCostModel::fragment_components`], except that a template
+    /// estimate reports the join domains of `domain_vars` instead of the
+    /// head's (the member-derived estimate always reports the head's).
+    fn components(
+        &self,
+        ucq: &StoreUcq,
+        template: Option<(&[StorePattern], &[f64])>,
+        domain_vars: &[VarId],
+    ) -> FragComponents {
         let (members, scale) = self.member_sample(ucq);
         let mut eval = 0.0;
         let mut volume = 0.0;
         let mut member_card_sum = 0.0;
+        let c_tj = self.constants.c_t + self.constants.c_j;
         for cq in &members {
-            eval += self.c_eval_cq(cq);
-            volume += self.cq_scan_volume(cq);
+            let extents = self.extents(cq);
+            eval += c_tj * self.member_input_volume(cq, &extents);
+            volume += extents.iter().sum::<f64>();
             if template.is_none() {
                 member_card_sum += self.stats.est_cq(self.table, cq);
             }
@@ -375,10 +385,10 @@ impl<'a> PaperCostModel<'a> {
 
         // Head-variable domains for fragment-join selectivity.
         let head_vars: Vec<VarId> = ucq.head.clone();
-        let mut var_domains: Vec<(VarId, f64)> = Vec::with_capacity(head_vars.len());
+        let mut var_domains: Vec<(VarId, f64)> = Vec::with_capacity(domain_vars.len());
         match template {
             Some((atoms, extents)) => {
-                for &v in &head_vars {
+                for &v in domain_vars {
                     let d = self.stats.var_domain_in(atoms, extents, v);
                     var_domains.push((v, d.min(card.max(1.0))));
                 }
@@ -437,23 +447,44 @@ impl<'a> PaperCostModel<'a> {
         comps
     }
 
-    /// [`PaperCostModel::fragment_components`] memoized by the
-    /// fragment's template atoms (content-addressed, so one model
-    /// instance can serve several queries safely).
+    /// [`PaperCostModel::fragment_components`] with a cover-query
+    /// template, memoized by the template's atoms (content-addressed, so
+    /// one model instance can serve several queries safely). `extents`
+    /// supplies each atom's unioned extent and is only called on a miss.
+    ///
+    /// Only the join domains depend on the fragment's head, which varies
+    /// with the cover for the same atoms: the memo holds the domains of
+    /// every body variable, and each call keeps its own head's.
     pub fn fragment_components_cached(
         &self,
         ucq: &StoreUcq,
-        template: Option<(&[StorePattern], &[f64])>,
+        atoms: &[StorePattern],
+        extents: impl FnOnce() -> Vec<f64>,
     ) -> FragComponents {
-        let Some((atoms, _)) = template else {
-            return self.fragment_components(ucq, template);
-        };
-        if let Some(hit) = self.cache.read().expect("component cache lock").get(atoms) {
-            return hit.clone();
-        }
-        let comps = self.fragment_components(ucq, template);
-        self.cache.write().expect("component cache lock").insert(atoms.to_vec(), comps.clone());
-        comps
+        let hit = self.cache.read().expect("component cache lock").get(atoms).cloned();
+        let all = hit.unwrap_or_else(|| {
+            let mut body_vars: Vec<VarId> = Vec::new();
+            for v in atoms.iter().flat_map(StorePattern::variables) {
+                if !body_vars.contains(&v) {
+                    body_vars.push(v);
+                }
+            }
+            let extents = extents();
+            let comps = Arc::new(self.components(ucq, Some((atoms, &extents)), &body_vars));
+            self.cache.write().expect("component cache lock").insert(atoms.to_vec(), comps.clone());
+            comps
+        });
+        let var_domains = ucq
+            .head
+            .iter()
+            .map(|&v| {
+                *all.var_domains
+                    .iter()
+                    .find(|d| d.0 == v)
+                    .expect("head variables occur in the body")
+            })
+            .collect();
+        FragComponents { var_domains, ..*all }
     }
 
     /// Equation 1: assemble a JUCQ's cost from its fragments'
@@ -485,18 +516,13 @@ impl<'a> PaperCostModel<'a> {
         // Fragment-join cardinality: product of fragment estimates with
         // per-shared-variable containment selectivity.
         let mut est: f64 = frags.iter().map(|f| f.card).product();
-        let mut var_domains: FxHashMap<VarId, Vec<f64>> = FxHashMap::default();
-        for f in frags {
-            for &(v, d) in &f.var_domains {
-                var_domains.entry(v).or_default().push(d);
-            }
-        }
-        for (_, mut domains) in var_domains {
-            if domains.len() < 2 {
-                continue;
-            }
-            domains.sort_by(|a, b| a.partial_cmp(b).expect("finite domains"));
-            for d in &domains[1..] {
+        let mut var_domains: Vec<(VarId, f64)> =
+            frags.iter().flat_map(|f| f.var_domains.iter().copied()).collect();
+        var_domains.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0).then_with(|| a.1.partial_cmp(&b.1).expect("finite domains"))
+        });
+        for domains in var_domains.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, d) in &domains[1..] {
                 est /= d.max(1.0);
             }
         }
@@ -710,6 +736,29 @@ mod tests {
             priced.fragment_components(&other, None).eval,
             "non-catalog fragment must not be discounted"
         );
+    }
+
+    #[test]
+    fn component_memo_keeps_each_heads_domains() {
+        // The same template atoms under head {x}, then {x, y} (as one
+        // fragment's cover query does in two covers): the memo hit must
+        // report y's domain too, exactly as a fresh model computes it.
+        let (table, stats) = setup();
+        let atoms =
+            vec![StorePattern::new(v(0), c(10), v(1)), StorePattern::new(v(0), c(11), v(2))];
+        let extents = || vec![50.0, 10.0];
+        let under_x = frag(atoms.clone(), vec![0]);
+        let under_xy = frag(atoms.clone(), vec![0, 1]);
+
+        let m = PaperCostModel::new(&table, &stats, CostConstants::default());
+        let first = m.fragment_components_cached(&under_x, &atoms, extents);
+        let second = m.fragment_components_cached(&under_xy, &atoms, extents);
+        let fresh = PaperCostModel::new(&table, &stats, CostConstants::default())
+            .fragment_components_cached(&under_xy, &atoms, extents);
+        assert_eq!(second, fresh);
+        assert_eq!(second.var_domains.iter().map(|d| d.0).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(first.var_domains, second.var_domains[..1]);
+        assert_eq!(first, m.fragment_components(&under_x, Some((&atoms, &extents()))));
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! state cap, and is *anytime*: the best cover seen so far is returned
 //! with `truncated = true`.
 
-use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use jucq_model::FxHashSet;
+use jucq_reformulation::cover::{atoms_of, lex_cmp, AtomMask, CoverMasks};
 use jucq_reformulation::{Cover, CoverError};
 
 use crate::search::{CoverSearch, CoverSearchResult};
@@ -24,75 +24,61 @@ use crate::search::{CoverSearch, CoverSearchResult};
 /// blowup even under a generous time budget.
 const STATE_CAP: usize = 2_000_000;
 
-/// All connected subsets of the query's atoms, as bitmasks.
-fn connected_subsets(search: &CoverSearch<'_>) -> Vec<u32> {
-    let q = search.query();
-    let n = q.len();
-    assert!(n <= 30, "ECov enumeration supports up to 30 atoms");
-    let mut adjacency: Vec<u32> = vec![0; n];
-    for (i, adj) in adjacency.iter_mut().enumerate() {
-        for j in 0..n {
-            if i != j && q.atoms_join(i, j) {
-                *adj |= 1 << j;
-            }
-        }
-    }
-    let mut seen: FxHashSet<u32> = FxHashSet::default();
-    let mut frontier: Vec<u32> = (0..n).map(|i| 1u32 << i).collect();
-    for &m in &frontier {
-        seen.insert(m);
-    }
+/// All connected subsets of the query's atoms, ascending, and whether
+/// the enumeration stopped early, at `budget` past `started` or at
+/// [`STATE_CAP`] subsets (a many-atom star has exponentially many).
+fn connected_subsets(
+    masks: &CoverMasks,
+    started: Instant,
+    budget: Duration,
+) -> (Vec<AtomMask>, bool) {
+    let mut seen: FxHashSet<AtomMask> = FxHashSet::default();
+    let mut frontier: Vec<AtomMask> = (0..masks.len()).map(|i| 1 << i).collect();
+    seen.extend(frontier.iter().copied());
+    let mut truncated = false;
     while let Some(mask) = frontier.pop() {
-        let mut reach: u32 = 0;
-        for (i, adj) in adjacency.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                reach |= adj;
-            }
+        if seen.len() > STATE_CAP || started.elapsed() > budget {
+            truncated = true;
+            break;
         }
-        let candidates = reach & !mask;
-        for j in 0..n {
-            if candidates & (1 << j) != 0 {
-                let next = mask | (1 << j);
-                if seen.insert(next) {
-                    frontier.push(next);
-                }
+        let vars = masks.vars(mask);
+        for j in atoms_of(masks.full() & !mask) {
+            let next = mask | 1 << j;
+            if masks.vars(1 << j) & vars != 0 && seen.insert(next) {
+                frontier.push(next);
             }
         }
     }
-    let mut out: Vec<u32> = seen.into_iter().collect();
+    let mut out: Vec<AtomMask> = seen.into_iter().collect();
     out.sort_unstable();
-    out
-}
-
-fn mask_to_vec(mask: u32) -> Vec<usize> {
-    (0..32).filter(|i| mask & (1 << i) != 0).collect()
+    (out, truncated)
 }
 
 /// Run ECov: exhaustively enumerate covers and return the cheapest.
 ///
 /// A query with no valid cover at all — a disconnected body — returns
 /// the [`CoverError`] from the single-fragment fallback instead of
-/// panicking.
+/// panicking, and a query past the bitmask search's 64 atoms returns
+/// [`CoverError::TooLarge`].
 pub fn ecov(search: &CoverSearch<'_>, budget: Duration) -> Result<CoverSearchResult, CoverError> {
     jucq_obs::span!("cover_search");
     let started = Instant::now();
     let q = search.query();
-    let n = q.len();
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-    let subsets = connected_subsets(search);
+    let masks = search.masks()?;
+    let full = masks.full();
+    let (subsets, mut truncated) = connected_subsets(masks, started, budget);
 
-    let mut best: Option<(Cover, f64)> = None;
-    let mut completed: FxHashSet<BTreeSet<u32>> = FxHashSet::default();
+    let mut best: Option<(Vec<AtomMask>, f64)> = None;
+    let mut completed: FxHashSet<Vec<AtomMask>> = FxHashSet::default();
     let mut states = 0usize;
-    let mut truncated = false;
 
     // Complete covers are batched (in discovery order) and scored by
     // the search's worker pool; folding the in-order costs with the
     // same strict `<` keeps the selected cover identical to scoring
     // each cover inline at discovery.
     let batch_cap = (search.parallelism() * 8).max(32);
-    let mut pending: Vec<Cover> = Vec::new();
-    let flush = |pending: &mut Vec<Cover>, best: &mut Option<(Cover, f64)>| {
+    let mut pending: Vec<Vec<AtomMask>> = Vec::new();
+    let flush = |pending: &mut Vec<Vec<AtomMask>>, best: &mut Option<(Vec<AtomMask>, f64)>| {
         if pending.is_empty() {
             return;
         }
@@ -105,7 +91,7 @@ pub fn ecov(search: &CoverSearch<'_>, budget: Duration) -> Result<CoverSearchRes
     };
 
     // DFS state: chosen fragments (antichain) + covered mask.
-    let mut stack: Vec<(Vec<u32>, u32)> = vec![(Vec::new(), 0)];
+    let mut stack: Vec<(Vec<AtomMask>, AtomMask)> = vec![(Vec::new(), 0)];
     while let Some((chosen, covered)) = stack.pop() {
         states += 1;
         if states > STATE_CAP || started.elapsed() > budget {
@@ -113,14 +99,13 @@ pub fn ecov(search: &CoverSearch<'_>, budget: Duration) -> Result<CoverSearchRes
             break;
         }
         if covered == full {
-            let key: BTreeSet<u32> = chosen.iter().copied().collect();
-            if !completed.insert(key) {
+            // In `Cover` fragment order: the canonical dedup key, and
+            // the order costs are summed in.
+            let mut cover = chosen;
+            cover.sort_by(|&a, &b| lex_cmp(a, b));
+            if !masks.is_cover(&cover) || !completed.insert(cover.clone()) {
                 continue;
             }
-            let frags: Vec<Vec<usize>> = chosen.iter().map(|&m| mask_to_vec(m)).collect();
-            let Ok(cover) = Cover::new(q, frags) else {
-                continue;
-            };
             pending.push(cover);
             if pending.len() >= batch_cap {
                 flush(&mut pending, &mut best);
@@ -149,7 +134,7 @@ pub fn ecov(search: &CoverSearch<'_>, budget: Duration) -> Result<CoverSearchRes
     flush(&mut pending, &mut best);
 
     let (cover, estimated_cost) = match best {
-        Some(found) => found,
+        Some((masks, cost)) => (Cover::from_masks(q, &masks).expect("valid cover"), cost),
         None => {
             // Degenerate fallback: the single-fragment cover exists for
             // every connected query; a disconnected one has no valid
@@ -297,6 +282,9 @@ mod tests {
         let env = ReformulationEnv { closure: &closure, rdf_type: f.rdf_type };
         let model = PaperCostModel::new(f.store.table(), f.store.stats(), CostConstants::default());
         let search = CoverSearch::new(&q, env, &model);
-        assert_eq!(connected_subsets(&search), vec![0b01, 0b10, 0b11]);
+        assert_eq!(
+            connected_subsets(search.masks().unwrap(), Instant::now(), Duration::from_secs(60)),
+            (vec![0b01, 0b10, 0b11], false)
+        );
     }
 }

@@ -15,13 +15,18 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use jucq_model::FxHashSet;
+use jucq_reformulation::cover::AtomMask;
 use jucq_reformulation::{Cover, CoverError};
 
 use crate::search::{CoverSearch, CoverSearchResult};
 
+/// A candidate cover: its fragments' atom masks in [`Cover`] fragment
+/// order.
+type Masks = Vec<AtomMask>;
+
 /// Cost-ordered move list keyed by (cost bits, tiebreak counter).
 struct MoveList {
-    map: BTreeMap<(u64, u64), Cover>,
+    map: BTreeMap<(u64, u64), Masks>,
     counter: u64,
 }
 
@@ -30,7 +35,7 @@ impl MoveList {
         MoveList { map: BTreeMap::new(), counter: 0 }
     }
 
-    fn push(&mut self, cost: f64, cover: Cover) {
+    fn push(&mut self, cost: f64, cover: Masks) {
         // f64 bits of non-negative costs (incl. +inf) order
         // consistently. NaN is mapped to +inf explicitly: `max(0.0)`
         // would silently turn it into the bits of 0.0, making a poisoned
@@ -42,10 +47,9 @@ impl MoveList {
         self.map.insert(key, cover);
     }
 
-    fn pop_min(&mut self) -> Option<(f64, Cover)> {
-        let (&key, _) = self.map.iter().next()?;
-        let cover = self.map.remove(&key).expect("key present");
-        Some((f64::from_bits(key.0), cover))
+    fn pop_min(&mut self) -> Option<(f64, Masks)> {
+        let ((bits, _), cover) = self.map.pop_first()?;
+        Some((f64::from_bits(bits), cover))
     }
 
     fn is_empty(&self) -> bool {
@@ -59,8 +63,9 @@ impl MoveList {
 ///
 /// Queries with no valid starting cover — a disconnected body, whose
 /// singleton fragments would be mutually isolated — return the
-/// [`CoverError`] instead of panicking; the caller decides whether to
-/// fall back to saturation or surface the error.
+/// [`CoverError`] instead of panicking, as do queries past the bitmask
+/// search's 64 atoms ([`CoverError::TooLarge`]); the caller decides
+/// whether to fall back to saturation or surface the error.
 pub fn gcov(
     search: &CoverSearch<'_>,
     budget: Duration,
@@ -69,12 +74,15 @@ pub fn gcov(
     jucq_obs::span!("cover_search");
     let started = Instant::now();
     let q = search.query();
+    let masks = search.masks()?;
 
-    let c0 = Cover::singletons(q)?;
-    let mut best_cost = search.cover_cost(&c0);
+    // A disconnected body has no valid starting cover: report why.
+    Cover::singletons(q)?;
+    let c0: Masks = (0..q.len()).map(|i| 1 << i).collect();
+    let mut best_cost = search.mask_cover_cost(&c0);
     let mut best = c0.clone();
 
-    let mut analysed: FxHashSet<Cover> = FxHashSet::default();
+    let mut analysed: FxHashSet<Masks> = FxHashSet::default();
     analysed.insert(c0.clone());
     let mut moves = MoveList::new();
     let mut truncated = false;
@@ -85,28 +93,22 @@ pub fn gcov(
     // exactly the sequential one), then batch-scored on the search's
     // worker pool; pushing in candidate order preserves the move list's
     // insertion-order tiebreak.
-    let develop = |cover: &Cover,
+    let develop = |cover: &Masks,
                    best_cost: f64,
-                   analysed: &mut FxHashSet<Cover>,
+                   analysed: &mut FxHashSet<Masks>,
                    moves: &mut MoveList,
                    strict: bool| {
-        let mut candidates: Vec<Cover> = Vec::new();
-        for (fi, frag) in cover.fragments().iter().enumerate() {
+        let mut candidates: Vec<Masks> = Vec::new();
+        for (fi, &frag) in cover.iter().enumerate() {
             for t in 0..q.len() {
-                if frag.contains(&t) {
-                    continue;
-                }
                 // The added triple must join the fragment.
-                let mut with_t = frag.clone();
-                with_t.push(t);
-                with_t.sort_unstable();
-                if !q.atoms_connected(&with_t) {
+                if frag & 1 << t != 0 || !masks.connected(frag | 1 << t) {
                     continue;
                 }
-                let Some(next) = cover.add_atom(q, fi, t) else {
+                let Some(next) = masks.add_atom(cover, fi, t) else {
                     continue;
                 };
-                let next = next.prune_redundant_by(q, |f| search.fragment_cost(f));
+                let next = masks.prune_redundant_by(next, |f| search.fragment_cost(f));
                 if !analysed.insert(next.clone()) {
                     continue;
                 }
@@ -144,7 +146,7 @@ pub fn gcov(
     }
 
     Ok(CoverSearchResult {
-        cover: best,
+        cover: Cover::from_masks(q, &best).expect("GCov keeps covers valid"),
         estimated_cost: best_cost,
         explored: search.explored(),
         elapsed: started.elapsed(),
@@ -282,8 +284,7 @@ mod tests {
     #[test]
     fn move_list_orders_by_cost() {
         let f = fixture();
-        let q = query(&f);
-        let c = Cover::singletons(&q).unwrap();
+        let c = Cover::singletons(&query(&f)).unwrap().masks();
         let mut ml = MoveList::new();
         ml.push(5.0, c.clone());
         ml.push(1.0, c.clone());

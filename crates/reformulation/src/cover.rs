@@ -12,10 +12,17 @@
 //! share a variable with another (if any), so that cover queries, hence
 //! cover-based reformulations do not feature cartesian products"), we
 //! additionally require each fragment's own join graph to be connected.
+//!
+//! Cover *search* works on [`CoverMasks`]: fragments as `u64` atom
+//! bitmasks and cover-query heads as variable bitmasks, so moves,
+//! validity checks and memo keys never allocate. [`Cover`] stays the
+//! result type.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
+use jucq_store::VarId;
 use serde::{Deserialize, Serialize};
 
 use crate::bgp::BgpQuery;
@@ -49,6 +56,14 @@ pub enum CoverError {
     DisconnectedFragment,
     /// A fragment shares no variable with any other fragment.
     IsolatedFragment,
+    /// The query is too large for the bitmask cover search (more than
+    /// [`MAX_MASK_ATOMS`] atoms or [`MAX_MASK_VARS`] variables).
+    TooLarge {
+        /// The query's atom count.
+        atoms: usize,
+        /// The query's distinct variable count.
+        variables: usize,
+    },
 }
 
 impl fmt::Display for CoverError {
@@ -60,6 +75,11 @@ impl fmt::Display for CoverError {
             CoverError::IncludedFragment => write!(f, "fragment included in another"),
             CoverError::DisconnectedFragment => write!(f, "fragment join graph disconnected"),
             CoverError::IsolatedFragment => write!(f, "fragment joins no other fragment"),
+            CoverError::TooLarge { atoms, variables } => write!(
+                f,
+                "query too large for cover search: {atoms} atoms, {variables} variables \
+                 (at most {MAX_MASK_ATOMS} atoms and {MAX_MASK_VARS} variables)"
+            ),
         }
     }
 }
@@ -175,42 +195,206 @@ impl Cover {
             .collect()
     }
 
-    /// The GCov move: add atom `atom` to fragment `frag_index`, dropping
-    /// fragments that became *included* in another (restoring
-    /// Definition 3.3). Returns `None` if the move is a no-op or yields
-    /// an invalid cover. Coverage-redundancy pruning (the paper's
-    /// cost-ordered removal) is a separate step:
-    /// [`Cover::prune_redundant_by`].
-    pub fn add_atom(&self, q: &BgpQuery, frag_index: usize, atom: usize) -> Option<Cover> {
-        let mut frags = self.fragments();
-        let target = frags.get_mut(frag_index)?;
-        if target.contains(&atom) {
+    /// The fragments as atom bitmasks, in fragment order. Every atom
+    /// index must be below [`MAX_MASK_ATOMS`] (true of any cover of a
+    /// query [`CoverMasks::new`] accepts).
+    pub fn masks(&self) -> Vec<AtomMask> {
+        self.fragments.iter().map(|f| f.iter().fold(0, |m, &i| m | 1 << i)).collect()
+    }
+
+    /// Build a cover from atom-bitmask fragments, validating it like
+    /// [`Cover::new`].
+    pub fn from_masks(q: &BgpQuery, fragments: &[AtomMask]) -> Result<Self, CoverError> {
+        Cover::new(q, fragments.iter().map(|&m| atoms_of(m).collect()).collect())
+    }
+}
+
+/// A set of query atoms: bit `i` stands for atom `tᵢ₊₁`.
+pub type AtomMask = u64;
+
+/// A set of query variables, over [`CoverMasks`]' dense numbering of
+/// the query's variables in first-occurrence order.
+pub type VarMask = u128;
+
+/// Most atoms the bitmask cover search handles.
+pub const MAX_MASK_ATOMS: usize = AtomMask::BITS as usize;
+
+/// Most distinct variables the bitmask cover search handles.
+pub const MAX_MASK_VARS: usize = VarMask::BITS as usize;
+
+/// The atom indices of a mask, ascending.
+pub fn atoms_of(mask: AtomMask) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            i
+        })
+    })
+}
+
+/// [`Cover`]'s fragment order on masks: the lexicographic order of the
+/// fragments' ascending atom-index lists (a proper prefix sorts first).
+pub fn lex_cmp(a: AtomMask, b: AtomMask) -> Ordering {
+    if a == b {
+        return Ordering::Equal;
+    }
+    // Below the lowest differing atom both lists agree. The mask holding
+    // that atom lists it next; the other lists a larger atom, or ends.
+    let low = (a ^ b).trailing_zeros();
+    let continues = |m: AtomMask| low < 63 && m >> (low + 1) != 0;
+    match (a >> low & 1 == 1, continues(a), continues(b)) {
+        (true, _, true) | (false, false, _) => Ordering::Less,
+        _ => Ordering::Greater,
+    }
+}
+
+/// A query's atoms and variables as bitmasks: everything Definition
+/// 3.3, the GCov move and the cover-query heads of Definition 3.4 need,
+/// without allocating per check.
+#[derive(Debug, Clone)]
+pub struct CoverMasks {
+    /// Per atom, the variables it mentions.
+    atom_vars: Vec<VarMask>,
+    /// The query's distinguished variables.
+    head: VarMask,
+}
+
+impl CoverMasks {
+    /// Number the query's atoms and variables. Queries beyond
+    /// [`MAX_MASK_ATOMS`] atoms or [`MAX_MASK_VARS`] variables get
+    /// [`CoverError::TooLarge`].
+    pub fn new(q: &BgpQuery) -> Result<Self, CoverError> {
+        let vars = q.variables();
+        if q.len() > MAX_MASK_ATOMS || vars.len() > MAX_MASK_VARS {
+            return Err(CoverError::TooLarge { atoms: q.len(), variables: vars.len() });
+        }
+        let bit = |v: VarId| -> VarMask {
+            1 << vars.iter().position(|&w| w == v).expect("head and body variables are numbered")
+        };
+        Ok(CoverMasks {
+            atom_vars: q
+                .atoms
+                .iter()
+                .map(|a| a.variables().iter().fold(0, |m, &v| m | bit(v)))
+                .collect(),
+            head: q.head.iter().fold(0, |m, &v| m | bit(v)),
+        })
+    }
+
+    /// Number of atoms.
+    pub fn len(&self) -> usize {
+        self.atom_vars.len()
+    }
+
+    /// True iff the query has no atoms.
+    pub fn is_empty(&self) -> bool {
+        self.atom_vars.is_empty()
+    }
+
+    /// Every atom.
+    pub fn full(&self) -> AtomMask {
+        match self.len() {
+            0 => 0,
+            n => AtomMask::MAX >> (MAX_MASK_ATOMS - n),
+        }
+    }
+
+    /// The variables of some atoms.
+    pub fn vars(&self, atoms: AtomMask) -> VarMask {
+        atoms_of(atoms).fold(0, |m, i| m | self.atom_vars[i])
+    }
+
+    /// True iff the atoms form a connected join graph (see
+    /// [`BgpQuery::atoms_connected`]).
+    pub fn connected(&self, atoms: AtomMask) -> bool {
+        let mut reached = atoms & atoms.wrapping_neg();
+        let mut vars = self.vars(reached);
+        loop {
+            let grown = atoms_of(atoms & !reached)
+                .filter(|&i| self.atom_vars[i] & vars != 0)
+                .fold(reached, |m, i| m | 1 << i);
+            if grown == reached {
+                return reached == atoms;
+            }
+            vars = self.vars(grown);
+            reached = grown;
+        }
+    }
+
+    /// The head of a fragment's cover query (Definition 3.4): its
+    /// variables that are distinguished or occur in `context`, the
+    /// atoms of the other fragments.
+    pub fn head(&self, fragment: AtomMask, context: AtomMask) -> VarMask {
+        self.vars(fragment) & (self.head | self.vars(context))
+    }
+
+    /// True iff `fragments` — distinct masks — form a valid cover, as
+    /// [`Cover::new`] would judge them.
+    pub fn is_cover(&self, fragments: &[AtomMask]) -> bool {
+        let union = fragments.iter().fold(0, |m, f| m | f);
+        union == self.full()
+            && fragments.iter().all(|&f| f != 0 && self.connected(f))
+            && fragments
+                .iter()
+                .enumerate()
+                .all(|(i, &a)| fragments.iter().enumerate().all(|(j, &b)| i == j || a & b != a))
+            && self.fragments_join(fragments, None)
+    }
+
+    /// Every fragment (but `skip`) shares a variable with another one
+    /// (but `skip`); vacuous for one remaining fragment.
+    fn fragments_join(&self, fragments: &[AtomMask], skip: Option<usize>) -> bool {
+        let kept = || fragments.iter().enumerate().filter(move |&(i, _)| Some(i) != skip);
+        if kept().count() <= 1 {
+            return true;
+        }
+        kept().all(|(i, &f)| {
+            let others = kept().filter(|&(j, _)| j != i).fold(0, |m, (_, &g)| m | g);
+            self.vars(f) & self.vars(others) != 0
+        })
+    }
+
+    /// True iff dropping fragment `index` from the valid cover
+    /// `fragments` leaves a valid cover. Dropping keeps the rest an
+    /// antichain of connected fragments, so only coverage and the
+    /// pairwise join requirement need checking.
+    pub fn removable(&self, fragments: &[AtomMask], index: usize) -> bool {
+        let rest =
+            fragments.iter().enumerate().filter(|&(i, _)| i != index).fold(0, |m, (_, &f)| m | f);
+        fragments.len() > 1 && rest == self.full() && self.fragments_join(fragments, Some(index))
+    }
+
+    /// The GCov move on the valid cover `fragments` (in [`lex_cmp`]
+    /// order): add `atom` to fragment `index`, then drop fragments
+    /// included in another, keeping the first of equal ones (restoring
+    /// Definition 3.3). The result is in [`lex_cmp`] order. `None` if
+    /// the move is a no-op or yields an invalid cover.
+    /// Coverage-redundancy pruning is a separate step:
+    /// [`CoverMasks::prune_redundant_by`].
+    pub fn add_atom(
+        &self,
+        fragments: &[AtomMask],
+        index: usize,
+        atom: usize,
+    ) -> Option<Vec<AtomMask>> {
+        let bit = 1 << atom;
+        if fragments.get(index)? & bit != 0 {
             return None;
         }
-        target.push(atom);
-        target.sort_unstable();
-        // Drop fragments included in another (keeping one copy of
-        // duplicates).
-        let mut kept: Vec<Vec<usize>> = Vec::with_capacity(frags.len());
-        for (i, f) in frags.iter().enumerate() {
-            let fset: BTreeSet<usize> = f.iter().copied().collect();
-            let redundant = frags.iter().enumerate().any(|(j, g)| {
-                if i == j {
-                    return false;
-                }
-                let gset: BTreeSet<usize> = g.iter().copied().collect();
-                fset.is_subset(&gset) && (fset != gset || i > j)
-            });
-            if !redundant {
-                kept.push(f.clone());
-            }
-        }
-        let candidate = Cover::new(q, kept).ok()?;
-        if candidate == *self {
-            None
-        } else {
-            Some(candidate)
-        }
+        let mut grown = fragments.to_vec();
+        grown[index] |= bit;
+        let mut kept: Vec<AtomMask> = grown
+            .iter()
+            .enumerate()
+            .filter(|&(i, &f)| {
+                !grown.iter().enumerate().any(|(j, &g)| i != j && f & g == f && (f != g || i > j))
+            })
+            .map(|(_, &f)| f)
+            .collect();
+        kept.sort_by(|&a, &b| lex_cmp(a, b));
+        (self.is_cover(&kept) && kept != fragments).then_some(kept)
     }
 
     /// The paper's redundancy pruning (§4.3): "all the fragments of a
@@ -218,38 +402,34 @@ impl Cover {
     /// when a fragment is found redundant (with respect to the other
     /// fragments in the cover), the fragment is removed". A fragment is
     /// coverage-redundant when the remaining fragments still form a
-    /// valid cover of `q`; `cost` orders which redundant fragment to
-    /// drop first (costliest first).
-    pub fn prune_redundant_by(&self, q: &BgpQuery, mut cost: impl FnMut(&[usize]) -> f64) -> Cover {
-        let mut frags = self.fragments();
+    /// valid cover; of several redundant fragments the costliest goes
+    /// first (the lowest index among equally costly ones), then the
+    /// check repeats. `cost` is only asked when at least two fragments
+    /// are removable at once — the only time the order decides anything.
+    pub fn prune_redundant_by(
+        &self,
+        mut fragments: Vec<AtomMask>,
+        mut cost: impl FnMut(AtomMask) -> f64,
+    ) -> Vec<AtomMask> {
         loop {
-            if frags.len() <= 1 {
-                break;
-            }
-            // Costliest-first inspection order.
-            let mut order: Vec<usize> = (0..frags.len()).collect();
-            order.sort_by(|&a, &b| {
-                cost(&frags[b]).partial_cmp(&cost(&frags[a])).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let mut removed = false;
-            for idx in order {
-                let rest: Vec<Vec<usize>> = frags
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != idx)
-                    .map(|(_, f)| f.clone())
-                    .collect();
-                if Cover::new(q, rest).is_ok() {
-                    frags.remove(idx);
-                    removed = true;
-                    break;
+            let removable: Vec<usize> =
+                (0..fragments.len()).filter(|&i| self.removable(&fragments, i)).collect();
+            let drop = match removable[..] {
+                [] => return fragments,
+                [only] => only,
+                _ => {
+                    let mut best = (removable[0], cost(fragments[removable[0]]));
+                    for &i in &removable[1..] {
+                        let c = cost(fragments[i]);
+                        if c > best.1 {
+                            best = (i, c);
+                        }
+                    }
+                    best.0
                 }
-            }
-            if !removed {
-                break;
-            }
+            };
+            fragments.remove(drop);
         }
-        Cover::new(q, frags).expect("pruning preserves validity")
     }
 }
 
@@ -378,48 +558,189 @@ mod tests {
         assert_eq!(cqs[1].head, vec![0]);
     }
 
+    fn masks(q: &BgpQuery) -> CoverMasks {
+        CoverMasks::new(q).unwrap()
+    }
+
+    fn m(fragments: &[&[usize]]) -> Vec<AtomMask> {
+        fragments.iter().map(|f| f.iter().fold(0, |m, &i| m | 1 << i)).collect()
+    }
+
+    /// A 4-atom star: all atoms share x.
+    fn star4() -> BgpQuery {
+        BgpQuery::new(
+            vec![0],
+            (1..=4).map(|i| StorePattern::new(v(0), c(i), v(i as VarId))).collect(),
+        )
+    }
+
+    /// An n-atom chain x0 p x1, x1 p x2, …
+    fn chain(n: usize) -> BgpQuery {
+        BgpQuery::new(
+            vec![0],
+            (0..n).map(|i| StorePattern::new(v(i as VarId), c(1), v(i as VarId + 1))).collect(),
+        )
+    }
+
     #[test]
     fn gcov_move_adds_and_prunes() {
         // Paper §4.3's example: {{t1,t2},{t1,t3},{t3,t4}} + (f0 ← t4)
         // ⇒ after coverage pruning: {{t1,t2,t4},{t1,t3}} (in a 4-atom
         // star query where all atoms share a variable).
-        let q = BgpQuery::new(
-            vec![0],
-            vec![
-                StorePattern::new(v(0), c(1), v(1)),
-                StorePattern::new(v(0), c(2), v(2)),
-                StorePattern::new(v(0), c(3), v(3)),
-                StorePattern::new(v(0), c(4), v(4)),
-            ],
-        );
-        let cover = Cover::new(&q, vec![vec![0, 1], vec![0, 2], vec![2, 3]]).unwrap();
-        let pos = cover.fragments().iter().position(|f| f == &vec![0, 1]).unwrap();
-        let moved = cover.add_atom(&q, pos, 3).unwrap();
+        let qm = masks(&star4());
+        let cover = m(&[&[0, 1], &[0, 2], &[2, 3]]);
+        let moved = qm.add_atom(&cover, 0, 3).unwrap();
         assert_eq!(
-            moved.fragments(),
-            vec![vec![0, 1, 3], vec![0, 2], vec![2, 3]],
+            moved,
+            m(&[&[0, 1, 3], &[0, 2], &[2, 3]]),
             "inclusion pruning alone keeps {{t3,t4}}"
         );
         // {t3,t4} is the costliest fragment here; coverage pruning
         // removes it.
-        let pruned = moved.prune_redundant_by(&q, |f| if f == [2, 3] { 10.0 } else { 1.0 });
-        assert_eq!(pruned.fragments(), vec![vec![0, 1, 3], vec![0, 2]]);
+        let pruned = qm.prune_redundant_by(moved, |f| if f == 0b1100 { 10.0 } else { 1.0 });
+        assert_eq!(pruned, m(&[&[0, 1, 3], &[0, 2]]));
+    }
+
+    #[test]
+    fn gcov_move_drops_included_fragments() {
+        // {t1},{t2},{t3} + (f0 ← t2) ⇒ {t1,t2} swallows {t2}.
+        let qm = masks(&q1());
+        let moved = qm.add_atom(&m(&[&[0], &[1], &[2]]), 0, 1).unwrap();
+        assert_eq!(moved, m(&[&[0, 1], &[2]]));
     }
 
     #[test]
     fn prune_keeps_necessary_fragments() {
-        let q = q1();
-        let cover = Cover::new(&q, vec![vec![0, 1], vec![1, 2]]).unwrap();
+        let qm = masks(&q1());
+        let cover = m(&[&[0, 1], &[1, 2]]);
         // Neither fragment is coverage-redundant: removing either loses
         // an atom.
-        let pruned = cover.prune_redundant_by(&q, |_| 1.0);
-        assert_eq!(pruned, cover);
+        assert_eq!(qm.prune_redundant_by(cover.clone(), |_| 1.0), cover);
     }
 
     #[test]
     fn gcov_move_noop_returns_none() {
-        let q = q1();
-        let cover = Cover::single_fragment(&q).unwrap();
-        assert!(cover.add_atom(&q, 0, 0).is_none(), "atom already present");
+        let qm = masks(&q1());
+        assert!(qm.add_atom(&[0b111], 0, 0).is_none(), "atom already present");
+    }
+
+    /// The pruning order before it turned lazy: sort every fragment by
+    /// decreasing cost, drop the first removable one, repeat. Also
+    /// reports the most fragments removable at any one step.
+    fn eager_prune(q: &BgpQuery, cover: &Cover, cost: impl Fn(&[usize]) -> f64) -> (Cover, usize) {
+        let mut frags = cover.fragments();
+        let mut most = 0;
+        loop {
+            if frags.len() <= 1 {
+                break;
+            }
+            let rest = |idx: usize| -> Vec<Vec<usize>> {
+                frags
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, _)| *j != idx)
+                    .map(|(_, f)| f.clone())
+                    .collect()
+            };
+            most = most.max((0..frags.len()).filter(|&i| Cover::new(q, rest(i)).is_ok()).count());
+            let mut order: Vec<usize> = (0..frags.len()).collect();
+            order.sort_by(|&a, &b| cost(&frags[b]).partial_cmp(&cost(&frags[a])).unwrap());
+            let Some(idx) = order.into_iter().find(|&i| Cover::new(q, rest(i)).is_ok()) else {
+                break;
+            };
+            frags.remove(idx);
+        }
+        (Cover::new(q, frags).unwrap(), most)
+    }
+
+    /// Every valid cover of `q` (up to 4 atoms): antichains of
+    /// non-empty atom subsets that [`Cover::new`] accepts.
+    fn all_covers(q: &BgpQuery) -> Vec<Cover> {
+        let subsets: Vec<AtomMask> = (1..1 << q.len()).collect();
+        (1u32..1 << subsets.len())
+            .filter_map(|pick| {
+                let frags: Vec<Vec<usize>> =
+                    atoms_of(u64::from(pick)).map(|k| atoms_of(subsets[k]).collect()).collect();
+                Cover::new(q, frags).ok()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lazy_pruning_matches_the_eager_order_and_skips_forced_choices() {
+        // Costs with ties (5 distinct values over 15 fragments), so the
+        // lowest-index tiebreak is exercised too.
+        let cost = |f: AtomMask| (f.wrapping_mul(2_654_435_761) % 5) as f64;
+        let cost_of = |f: &[usize]| cost(f.iter().fold(0, |m, &i| m | 1 << i));
+        let mut choices = 0;
+        for q in [star4(), chain(4), q1()] {
+            let qm = masks(&q);
+            for cover in all_covers(&q) {
+                // Every valid cover, not only GCov's move results.
+                let mut calls = 0;
+                let lazy = qm.prune_redundant_by(cover.masks(), |f| {
+                    calls += 1;
+                    cost(f)
+                });
+                let (eager, most_removable) = eager_prune(&q, &cover, cost_of);
+                assert_eq!(Cover::from_masks(&q, &lazy).unwrap(), eager, "{cover}");
+                assert_eq!(calls == 0, most_removable <= 1, "{cover}: {calls} cost calls");
+                choices += usize::from(most_removable > 1);
+            }
+        }
+        assert!(choices > 0, "some covers offer a choice of redundant fragments");
+    }
+
+    #[test]
+    fn forced_removal_asks_no_cost() {
+        // Chain t1-t2-t3-t4 with {{t1,t2},{t2,t3},{t3,t4}}: only {t2,t3}
+        // is redundant.
+        let qm = masks(&chain(4));
+        let pruned = qm.prune_redundant_by(m(&[&[0, 1], &[1, 2], &[2, 3]]), |_| {
+            panic!("cost asked without a choice")
+        });
+        assert_eq!(pruned, m(&[&[0, 1], &[2, 3]]));
+    }
+
+    #[test]
+    fn mask_validity_matches_cover_new() {
+        for q in [star4(), chain(4), q1()] {
+            let qm = masks(&q);
+            let subsets: Vec<AtomMask> = (1..1 << q.len()).collect();
+            for pick in 1u32..1 << subsets.len() {
+                let mut frags: Vec<AtomMask> =
+                    atoms_of(u64::from(pick)).map(|k| subsets[k]).collect();
+                frags.sort_by(|&a, &b| lex_cmp(a, b));
+                let cover = Cover::from_masks(&q, &frags);
+                assert_eq!(qm.is_cover(&frags), cover.is_ok(), "{frags:?}");
+                if let Ok(cover) = cover {
+                    assert_eq!(cover.masks(), frags, "lex_cmp is the cover's fragment order");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masks_connectivity_and_heads() {
+        let q = chain(4);
+        let qm = masks(&q);
+        assert_eq!(qm.full(), 0b1111);
+        assert!(qm.connected(0b0111) && qm.connected(0b0001) && !qm.connected(0b0101));
+        // Fragment {t2,t3} with context {t1}: only x1 joins outside
+        // (x0 is the head variable, not in the fragment).
+        let head = qm.head(0b0110, 0b0001);
+        let cq = q.cover_query_in(&[1, 2], &[0]);
+        assert_eq!(head.count_ones() as usize, cq.head.len());
+        assert_eq!(head, qm.vars(0b0010) & qm.vars(0b0001));
+    }
+
+    #[test]
+    fn too_many_atoms_is_a_typed_error() {
+        assert!(CoverMasks::new(&chain(64)).is_ok());
+        assert_eq!(
+            CoverMasks::new(&chain(65)).unwrap_err(),
+            CoverError::TooLarge { atoms: 65, variables: 66 }
+        );
+        assert_eq!(masks(&chain(64)).full(), u64::MAX);
     }
 }

@@ -25,7 +25,9 @@
 //! by canonicalizing each CQ (sorted atoms, canonical renaming of
 //! non-head variables).
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
+use std::hash::BuildHasher;
 
 use jucq_model::{FxHashMap, FxHashSet, SchemaClosure, TermId};
 use jucq_store::{PatternTerm, StoreCq, StorePattern, StoreUcq, VarId};
@@ -259,10 +261,10 @@ fn atoms_independent(q: &BgpQuery, rdf_type: TermId) -> bool {
 /// [`atoms_independent`] holds; reformulation sizes then multiply
 /// across atoms, which is exactly the paper's arithmetic (q1: 188 × 4
 /// × 3 = 2256).
-fn reformulate_product(
+fn reformulate_product<U: Borrow<StoreUcq>>(
     q: &BgpQuery,
-    env: &ReformulationEnv<'_>,
     limit: usize,
+    mut atom_ucq: impl FnMut(usize) -> Result<U, usize>,
 ) -> Result<StoreUcq, usize> {
     let global_max: VarId = q.max_var().map_or(0, |m| m + 1);
     // Per-atom member lists: (rewritten atom, substitution of the
@@ -272,8 +274,8 @@ fn reformulate_product(
     let mut total: usize = 1;
     for (ai, atom) in q.atoms.iter().enumerate() {
         let atom_vars = atom.variables();
-        let sub_q = BgpQuery { head: atom_vars.to_vec(), atoms: vec![*atom], limit: None };
-        let ucq = reformulate_fixpoint(&sub_q, env, limit)?;
+        let ucq = atom_ucq(ai)?;
+        let ucq: &StoreUcq = ucq.borrow();
         let mut members = Vec::with_capacity(ucq.len());
         for m in &ucq.cqs {
             debug_assert_eq!(m.patterns.len(), 1);
@@ -306,7 +308,10 @@ fn reformulate_product(
 
     // Cartesian product.
     let head_terms: Vec<PatternTerm> = q.head.iter().map(|&v| PatternTerm::Var(v)).collect();
-    let mut seen: FxHashSet<WorkCq> = FxHashSet::default();
+    // Dedup without a second copy of every member: the latest member
+    // per hash, and per member the previous one with its hash.
+    let mut latest: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut previous: Vec<usize> = Vec::with_capacity(total);
     let mut result: Vec<StoreCq> = Vec::with_capacity(total);
     let mut indices = vec![0usize; per_atom.len()];
     loop {
@@ -324,7 +329,15 @@ fn reformulate_product(
             }
         }
         let n = normalize(WorkCq { head, atoms });
-        if seen.insert(n.clone()) {
+        let hash = jucq_model::hash::FxBuildHasher::default().hash_one(&n);
+        let chain = latest.get(&hash).copied().unwrap_or(usize::MAX);
+        let mut j = chain;
+        while j != usize::MAX && (result[j].patterns != n.atoms || result[j].head != n.head) {
+            j = previous[j];
+        }
+        if j == usize::MAX {
+            latest.insert(hash, result.len());
+            previous.push(chain);
             result.push(StoreCq::new(n.atoms, n.head));
             if result.len() > limit {
                 return Err(result.len());
@@ -355,8 +368,32 @@ pub fn reformulate_with_limit(
     env: &ReformulationEnv<'_>,
     limit: usize,
 ) -> Result<StoreUcq, usize> {
+    reformulate_with_atom_ucqs(q, env, limit, |ai| {
+        reformulate_fixpoint(&atom_query(q.atoms[ai]), env, limit)
+    })
+}
+
+/// The single-atom query whose reformulation the per-atom product path
+/// of [`reformulate_with_limit`] multiplies: the atom with all its
+/// variables in the head.
+pub fn atom_query(atom: StorePattern) -> BgpQuery {
+    BgpQuery { head: atom.variables().to_vec(), atoms: vec![atom], limit: None }
+}
+
+/// [`reformulate_with_limit`] taking each atom's reformulation from
+/// `atom_ucq` (called with the atom's index in `q`) instead of
+/// recomputing it. The answer must be the reformulation of
+/// [`atom_query`] under the same `limit`, or the `Err` that
+/// reformulation returned; callers holding a per-atom cache (the cover
+/// search) pass it here.
+pub fn reformulate_with_atom_ucqs<U: Borrow<StoreUcq>>(
+    q: &BgpQuery,
+    env: &ReformulationEnv<'_>,
+    limit: usize,
+    atom_ucq: impl FnMut(usize) -> Result<U, usize>,
+) -> Result<StoreUcq, usize> {
     if q.atoms.len() > 1 && atoms_independent(q, env.rdf_type) {
-        return reformulate_product(q, env, limit);
+        return reformulate_product(q, limit, atom_ucq);
     }
     reformulate_fixpoint(q, env, limit)
 }
@@ -570,6 +607,11 @@ mod tests {
         for m in &ucq.cqs {
             assert!(seen.insert(m.clone()), "duplicate member {m:?}");
         }
+        // The atoms are independent, so this ran the product path, and
+        // some of its combinations collapsed.
+        let combinations: usize =
+            q.atoms.iter().map(|&a| reformulate(&atom_query(a), &env).len()).product();
+        assert!(ucq.len() < combinations, "{} of {combinations}", ucq.len());
     }
 
     #[test]
@@ -603,7 +645,7 @@ mod tests {
             ],
         );
         assert!(super::atoms_independent(&q, f.rdf_type));
-        let fast = super::reformulate_product(&q, &env, usize::MAX).unwrap();
+        let fast = reformulate_with_limit(&q, &env, usize::MAX).unwrap();
         let slow = super::reformulate_fixpoint(&q, &env, usize::MAX).unwrap();
         let norm = |u: &StoreUcq| {
             let mut v: Vec<StoreCq> = u.cqs.clone();
@@ -611,6 +653,22 @@ mod tests {
             v
         };
         assert_eq!(norm(&fast), norm(&slow));
+
+        // Supplied per-atom reformulations give the identical union,
+        // member order included; a supplied refusal propagates.
+        let cached: Vec<StoreUcq> = q
+            .atoms
+            .iter()
+            .map(|&a| reformulate_with_limit(&atom_query(a), &env, usize::MAX).unwrap())
+            .collect();
+        let shared =
+            reformulate_with_atom_ucqs(&q, &env, usize::MAX, |ai| Ok::<_, usize>(&cached[ai]))
+                .unwrap();
+        assert_eq!(shared, fast);
+        assert_eq!(
+            reformulate_with_atom_ucqs(&q, &env, usize::MAX, |_| Err::<&StoreUcq, _>(7)),
+            Err(7)
+        );
     }
 
     #[test]

@@ -132,35 +132,28 @@ pub struct CollapsibleRun {
 /// opportunity without lowering it.
 pub fn collapsible_runs<'c>(members: impl IntoIterator<Item = &'c StoreCq>) -> Vec<CollapsibleRun> {
     let members: Vec<&StoreCq> = members.into_iter().collect();
-    // Signature of a (member, slot) candidate: the head, the slot, and
-    // the body with the slot's constant masked out. Two members share
-    // a signature iff they differ only in that constant.
-    type Sig = (Vec<PatternTerm>, usize, RangePos, Vec<StorePattern>);
-    let mut groups: FxHashMap<Sig, Vec<(usize, u32)>> = FxHashMap::default();
-    let mut order: Vec<Sig> = Vec::new();
-    for (mi, cq) in members.iter().enumerate() {
+    // Group the (member, slot) candidates by their masked signature, in
+    // first-seen order: (atom, position, [(member, raw id)]).
+    type Group = (usize, RangePos, Vec<(usize, u32)>);
+    let mut groups: FxHashMap<MaskedSlot<'_>, usize> = FxHashMap::default();
+    let mut order: Vec<Group> = Vec::new();
+    for (mi, &cq) in members.iter().enumerate() {
         for (ai, pat) in cq.patterns.iter().enumerate() {
             for (pos, term) in [(RangePos::Predicate, pat.p), (RangePos::Object, pat.o)] {
                 let PatternTerm::Const(id) = term else { continue };
-                let mut masked = cq.patterns.clone();
-                match pos {
-                    RangePos::Predicate => masked[ai].p = PatternTerm::Var(VarId::MAX),
-                    RangePos::Object => masked[ai].o = PatternTerm::Var(VarId::MAX),
-                }
-                let sig = (cq.head.clone(), ai, pos, masked);
-                let entry = groups.entry(sig.clone()).or_default();
-                if entry.is_empty() {
-                    order.push(sig);
-                }
-                entry.push((mi, id.raw()));
+                let group = *groups.entry(MaskedSlot { cq, atom: ai, pos }).or_insert_with(|| {
+                    order.push((ai, pos, Vec::new()));
+                    order.len() - 1
+                });
+                order[group].2.push((mi, id.raw()));
             }
         }
     }
     let mut consumed = vec![false; members.len()];
     let mut runs = Vec::new();
-    for sig in &order {
+    for (atom, pos, group) in &order {
         let mut entries: Vec<(usize, u32)> =
-            groups[sig].iter().copied().filter(|&(mi, _)| !consumed[mi]).collect();
+            group.iter().copied().filter(|&(mi, _)| !consumed[mi]).collect();
         if entries.len() < 2 {
             continue;
         }
@@ -176,8 +169,8 @@ pub fn collapsible_runs<'c>(members: impl IntoIterator<Item = &'c StoreCq>) -> V
                     consumed[mi] = true;
                 }
                 runs.push(CollapsibleRun {
-                    atom: sig.1,
-                    pos: sig.2,
+                    atom: *atom,
+                    pos: *pos,
                     lo: entries[start].1,
                     hi: entries[end - 1].1 + 1,
                     members: entries[start..end].iter().map(|&(mi, _)| mi).collect(),
@@ -187,6 +180,52 @@ pub fn collapsible_runs<'c>(members: impl IntoIterator<Item = &'c StoreCq>) -> V
         }
     }
     runs
+}
+
+/// The signature of a [`collapsible_runs`] candidate, borrowed: member
+/// `cq` with the constant at atom `atom`'s `pos` position masked out.
+/// Two candidates are equal iff their members share head and body
+/// except for that constant.
+#[derive(Clone, Copy)]
+struct MaskedSlot<'c> {
+    cq: &'c StoreCq,
+    atom: usize,
+    pos: RangePos,
+}
+
+impl MaskedSlot<'_> {
+    fn masked_patterns(&self) -> impl Iterator<Item = StorePattern> + '_ {
+        self.cq.patterns.iter().enumerate().map(|(i, &p)| {
+            let mut p = p;
+            if i == self.atom {
+                match self.pos {
+                    RangePos::Predicate => p.p = PatternTerm::Var(VarId::MAX),
+                    RangePos::Object => p.o = PatternTerm::Var(VarId::MAX),
+                }
+            }
+            p
+        })
+    }
+}
+
+impl PartialEq for MaskedSlot<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.atom == other.atom
+            && self.pos == other.pos
+            && self.cq.head == other.cq.head
+            && self.masked_patterns().eq(other.masked_patterns())
+    }
+}
+
+impl Eq for MaskedSlot<'_> {}
+
+impl std::hash::Hash for MaskedSlot<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.cq.head.hash(state);
+        self.atom.hash(state);
+        self.pos.hash(state);
+        self.masked_patterns().for_each(|p| p.hash(state));
+    }
 }
 
 /// `a ⊆ b` over sorted, deduplicated pattern vectors.
@@ -1067,6 +1106,34 @@ mod tests {
 
     fn v(i: VarId) -> PatternTerm {
         PatternTerm::Var(i)
+    }
+
+    #[test]
+    fn collapsible_runs_group_members_differing_in_one_constant() {
+        let member = |p: u32, o: u32| {
+            StoreCq::with_var_head(vec![StorePattern::new(v(0), c(p), c(o))], vec![0])
+        };
+        let members = [
+            member(10, 7),
+            member(10, 5),
+            member(10, 6),
+            member(10, 9), // gap after 7: no run with 5..=7
+            member(11, 20),
+            member(12, 20), // predicates 11, 12 with the same object
+            StoreCq::with_var_head(vec![StorePattern::new(v(0), c(10), c(8))], vec![]),
+        ];
+        let runs = collapsible_runs(members.iter());
+        let object_run =
+            CollapsibleRun { atom: 0, pos: RangePos::Object, lo: 5, hi: 8, members: vec![1, 2, 0] };
+        let predicate_run = CollapsibleRun {
+            atom: 0,
+            pos: RangePos::Predicate,
+            lo: 11,
+            hi: 13,
+            members: vec![4, 5],
+        };
+        // A different head never joins a run, even with the next object.
+        assert_eq!(runs, vec![object_run, predicate_run]);
     }
 
     fn table() -> TripleTable {

@@ -165,20 +165,20 @@ impl Statistics {
             return 0.0;
         }
         let mut est: f64 = extents.iter().product();
-        // Per-variable join selectivity.
-        let mut var_occurrences: FxHashMap<VarId, Vec<f64>> = FxHashMap::default();
+        // Per-variable join selectivity: (variable, domain) occurrences
+        // sorted by variable, each variable's domains ascending.
+        let mut occurrences: Vec<(VarId, f64)> = Vec::with_capacity(3 * atoms.len());
         for (p, &card) in atoms.iter().zip(extents) {
             for v in p.variables() {
-                var_occurrences.entry(v).or_default().push(self.var_domain_f(p, v, card));
+                occurrences.push((v, self.var_domain_f(p, v, card)));
             }
         }
-        for (_, mut domains) in var_occurrences {
-            if domains.len() < 2 {
-                continue;
-            }
-            domains.sort_by(|a, b| a.partial_cmp(b).expect("finite domains"));
+        occurrences.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0).then_with(|| a.1.partial_cmp(&b.1).expect("finite domains"))
+        });
+        for domains in occurrences.chunk_by(|a, b| a.0 == b.0) {
             // Divide by every domain except the smallest.
-            for d in &domains[1..] {
+            for &(_, d) in &domains[1..] {
                 est /= d.max(1.0);
             }
         }
